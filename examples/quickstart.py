@@ -16,8 +16,8 @@ Run with::
 
 Pass ``--time`` to additionally print a per-phase wall-clock breakdown
 (parse, translate, solve) and the LP-solve / warm-start counters of the
-bundled solver, so the effect of basis reuse is visible without running the
-pytest benchmarks.
+bundled solver under both LP backends (the default is marked), so the effect
+of basis reuse is visible without running the pytest benchmarks.
 
 Pass ``--workers N`` to run the query again through SKETCHREFINE with its
 refine phase fanned out over ``N`` worker processes (the parallel solve
@@ -50,11 +50,12 @@ def timing_report(num_rows: int = 150, seed: int = 7) -> None:
     t2 = time.perf_counter()
 
     print("=== Timing breakdown (--time) ===")
-    print(f"parse PaQL            : {(t1 - t0) * 1000:8.2f} ms")
-    print(f"translate to ILP      : {(t2 - t1) * 1000:8.2f} ms "
+    print(f"parse PaQL              : {(t1 - t0) * 1000:8.2f} ms")
+    print(f"translate to ILP        : {(t2 - t1) * 1000:8.2f} ms "
           f"({translation.num_variables} vars, {translation.model.num_constraints} constraints)")
 
-    for backend in (LpBackend.HIGHS, LpBackend.SIMPLEX):
+    default_backend = BranchAndBoundSolver().lp_backend
+    for backend in (LpBackend.SIMPLEX, LpBackend.HIGHS):
         solver = BranchAndBoundSolver(
             limits=SolverLimits(relative_gap=1e-6), lp_backend=backend
         )
@@ -62,8 +63,9 @@ def timing_report(num_rows: int = 150, seed: int = 7) -> None:
         solution = solver.solve(translation.model)
         t4 = time.perf_counter()
         stats = solution.stats
+        label = backend.value + (", default" if backend is default_backend else "")
         line = (
-            f"solve ({backend.value:7s})       : {(t4 - t3) * 1000:8.2f} ms  "
+            f"{'solve (' + label + ')':24s}: {(t4 - t3) * 1000:8.2f} ms  "
             f"status={solution.status.value}  nodes={stats.nodes_explored}  "
             f"lp_solves={stats.lp_solves}"
         )

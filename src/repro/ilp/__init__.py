@@ -5,9 +5,10 @@ an equivalent black box implemented from scratch:
 
 * :class:`~repro.ilp.model.IlpModel` — a sparse-friendly model of variables,
   linear constraints, bounds and a linear objective,
-* :mod:`~repro.ilp.lp_backend` — LP relaxation solving through SciPy's HiGHS
-  backend, with a pure-NumPy bounded-variable revised simplex fallback that
-  supports warm-started (dual) reoptimisation from an exported basis,
+* :mod:`~repro.ilp.lp_backend` — LP relaxation solving through a pure-NumPy
+  bounded-variable revised simplex that supports warm-started (dual)
+  reoptimisation from an exported basis (the branch-and-bound default), or
+  through SciPy's HiGHS (one-off cold solves and the numerical fallback),
 * :mod:`~repro.ilp.presolve` — presolve/postsolve reductions on the matrix
   form (iterated bound propagation, fixed-variable elimination,
   redundant-row removal) with solution *and* basis mapping between the

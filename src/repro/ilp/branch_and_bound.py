@@ -31,8 +31,10 @@ way through the ``warm_start`` argument of :meth:`BranchAndBoundSolver.solve`,
 and the root relaxation's own basis is exported on the returned
 :attr:`~repro.ilp.status.Solution.root_basis` for the next related solve.
 ``SolveStats.warm_start_hits`` / ``simplex_iterations`` expose how often the
-fast path is taken.  The HiGHS backend solves every node cold (SciPy exposes
-no basis interface) but still benefits from the shared matrix form.
+fast path is taken.  SIMPLEX is the default backend.  The HiGHS backend
+solves every node cold (SciPy exposes no basis interface) but still benefits
+from the shared matrix form; in the default configuration it is only the
+numerical fallback for a node whose cold simplex solve failed.
 
 **Presolve.**  Before the root LP, the matrix form is reduced by
 :func:`~repro.ilp.presolve.presolve_form` (bound propagation with integrality
@@ -130,14 +132,24 @@ class _Node:
 
 
 class BranchAndBoundSolver:
-    """Exact ILP solver with LP-relaxation branch and bound."""
+    """Exact ILP solver with LP-relaxation branch and bound.
+
+    ``lp_backend`` selects the node LP algorithm.  The default,
+    :attr:`LpBackend.SIMPLEX`, warm-starts every child node from its parent's
+    basis (and the root from a caller's ``warm_start``).  A node whose
+    simplex solve fails numerically is retried cold, then once with HiGHS on
+    the same node form (each retry counted in
+    ``SolveStats.numerical_retries``); :class:`~repro.errors.SolverError` is
+    raised only if HiGHS fails too.  :attr:`LpBackend.HIGHS` solves every node
+    cold through HiGHS and serves as an independent cross-check.
+    """
 
     def __init__(
         self,
         limits: SolverLimits | None = None,
         branching: BranchingRule = BranchingRule.MOST_FRACTIONAL,
         node_selection: NodeSelection = NodeSelection.BEST_BOUND,
-        lp_backend: LpBackend = LpBackend.HIGHS,
+        lp_backend: LpBackend = LpBackend.SIMPLEX,
         enable_rounding_heuristic: bool = True,
         warm_start_lp: bool = True,
         presolve: bool = True,
@@ -271,6 +283,17 @@ class BranchAndBoundSolver:
                 stats.numerical_retries += 1
                 node.parent_basis = None
                 lp_result = self._solve_node_lp(solve_form, node, postsolve, cutoff)
+                self._accumulate_lp_stats(stats, lp_result)
+            if (
+                lp_result.status is SolverStatus.NUMERICAL_ERROR
+                and self.lp_backend is not LpBackend.HIGHS
+            ):
+                # The cold simplex solve failed too: fall back to HiGHS on the
+                # same node form.  It returns no basis, so children start cold.
+                stats.numerical_retries += 1
+                lp_result = self._solve_node_lp(
+                    solve_form, node, postsolve, cutoff, backend=LpBackend.HIGHS
+                )
                 self._accumulate_lp_stats(stats, lp_result)
             if lp_result.status is SolverStatus.NUMERICAL_ERROR:
                 raise SolverError(
@@ -415,6 +438,7 @@ class BranchAndBoundSolver:
         node: _Node,
         postsolve: Postsolve | None = None,
         objective_cutoff_min: float | None = None,
+        backend: LpBackend | None = None,
     ) -> LpResult:
         """Solve one node's LP relaxation, in reduced space when presolved.
 
@@ -423,8 +447,10 @@ class BranchAndBoundSolver:
         optionally strengthened by the incumbent objective cutoff; the
         returned values and objective are expanded back to the original space
         while the basis stays reduced — children consume it against the same
-        reduced form.
+        reduced form.  ``backend`` overrides the solver's own LP backend (the
+        numerical fallback).
         """
+        backend = backend or self.lp_backend
         if postsolve is None:
             node_form = form.with_bounds(node.lower_bounds, node.upper_bounds)
         else:
@@ -438,11 +464,11 @@ class BranchAndBoundSolver:
         if (
             self.warm_start_lp
             and node.parent_basis is not None
-            and self.lp_backend is LpBackend.SIMPLEX
+            and backend is LpBackend.SIMPLEX
         ):
             warm = WarmStart(basis=node.parent_basis)
         result = solve_lp_form(
-            node_form, self.lp_backend, warm_start=warm, presolve=False,
+            node_form, backend, warm_start=warm, presolve=False,
             pricing=self.pricing,
         )
         if postsolve is None or not result.status.has_solution:

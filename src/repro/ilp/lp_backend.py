@@ -3,11 +3,14 @@
 Branch and bound needs to repeatedly solve LP relaxations that differ only in
 variable bounds.  Two backends are provided:
 
-* ``HIGHS`` — :func:`scipy.optimize.linprog` with the HiGHS method (default,
-  fast and robust), and
 * ``SIMPLEX`` — the pure-NumPy bounded-variable revised simplex in
-  :mod:`repro.ilp.simplex`, kept as an independent implementation both for
-  environments without SciPy's HiGHS and as a cross-check in the test-suite.
+  :mod:`repro.ilp.simplex`; the default for branch-and-bound node LPs,
+  because it reoptimises each child from its parent's basis, and
+* ``HIGHS`` — :func:`scipy.optimize.linprog` with the HiGHS method (fast and
+  robust on cold solves); the default of the one-off :func:`solve_lp`,
+  :func:`solve_lp_form` and IIS solves, the branch-and-bound fallback for a
+  node the simplex fails on numerically, and an independent cross-check in
+  the test-suite.
 
 Both consume the :class:`~repro.ilp.matrix_form.MatrixForm` IR directly:
 sparse forms hand their ``scipy.sparse`` CSR matrices straight to HiGHS (no

@@ -287,8 +287,14 @@ class TestRefineBasisReuse:
 
     def test_non_simplex_solver_skips_cache(self, recipes_with_partitioning, fast_solver):
         from repro.core.sketchrefine import SketchRefineStats
+        from repro.ilp.branch_and_bound import BranchAndBoundSolver
+        from repro.ilp.lp_backend import LpBackend
 
-        evaluator = SketchRefineEvaluator(solver=fast_solver)
+        # SIMPLEX is the default backend, so name HiGHS explicitly.
+        highs_solver = BranchAndBoundSolver(
+            limits=fast_solver.limits, lp_backend=LpBackend.HIGHS
+        )
+        evaluator = SketchRefineEvaluator(solver=highs_solver)
         table, partitioning = recipes_with_partitioning
         query = meal_planner_query()
         evaluator.evaluate(table, query, partitioning)

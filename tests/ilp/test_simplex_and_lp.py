@@ -228,15 +228,10 @@ class TestNumericalErrorStatus:
         assert SolverStatus.NUMERICAL_ERROR.is_failure
         assert not result.status.has_solution
 
-    def test_branch_and_bound_retries_numerically_failed_warm_nodes(self, monkeypatch):
-        """A NUMERICAL_ERROR on a warm-started node LP triggers a cold retry
-        (counted in stats) instead of pruning the subtree or aborting."""
-        import repro.ilp.branch_and_bound as bnb
-        from repro.ilp.branch_and_bound import BranchAndBoundSolver
-        from repro.ilp.lp_backend import LpResult
-
+    @staticmethod
+    def _knapsack_model() -> IlpModel:
         model = IlpModel()
-        for i, (value, weight) in enumerate([(10, 5), (13, 6), (7, 4), (8, 3)]):
+        for i in range(4):
             model.add_variable(f"x{i}", 0, 1)
         model.add_constraint(
             {0: 5.0, 1: 6.0, 2: 4.0, 3: 3.0}, ConstraintSense.LE, 10
@@ -244,7 +239,16 @@ class TestNumericalErrorStatus:
         model.set_objective(
             ObjectiveSense.MAXIMIZE, {0: 10.0, 1: 13.0, 2: 7.0, 3: 8.0}
         )
+        return model
 
+    def test_branch_and_bound_retries_numerically_failed_warm_nodes(self, monkeypatch):
+        """A NUMERICAL_ERROR on a warm-started node LP triggers a cold retry
+        (counted in stats) instead of pruning the subtree or aborting."""
+        import repro.ilp.branch_and_bound as bnb
+        from repro.ilp.branch_and_bound import BranchAndBoundSolver
+        from repro.ilp.lp_backend import LpResult
+
+        model = self._knapsack_model()
         real = bnb.solve_lp_form
         failed = []
 
@@ -262,3 +266,79 @@ class TestNumericalErrorStatus:
         assert solution.stats.numerical_retries == 1
         cold = BranchAndBoundSolver(lp_backend=LpBackend.SIMPLEX, warm_start_lp=False).solve(model)
         assert solution.objective_value == pytest.approx(cold.objective_value)
+
+    def test_branch_and_bound_falls_back_to_highs_on_cold_simplex_failure(
+        self, monkeypatch
+    ):
+        """A NUMERICAL_ERROR on a *cold* SIMPLEX node LP is re-solved with
+        HiGHS on the same node form (counted in stats), and the solve still
+        ends OPTIMAL at the HiGHS-backend objective."""
+        import repro.ilp.branch_and_bound as bnb
+        from repro.ilp.branch_and_bound import BranchAndBoundSolver
+        from repro.ilp.lp_backend import LpResult
+
+        model = self._knapsack_model()
+        real = bnb.solve_lp_form
+        calls = []
+
+        def flaky(form, backend, warm_start=None, presolve=True, **kwargs):
+            calls.append((backend, warm_start is not None))
+            if backend is LpBackend.SIMPLEX and warm_start is None and len(calls) == 1:
+                return LpResult(SolverStatus.NUMERICAL_ERROR, np.empty(0), float("nan"))
+            return real(form, backend, warm_start=warm_start, presolve=presolve, **kwargs)
+
+        monkeypatch.setattr(bnb, "solve_lp_form", flaky)
+        solution = BranchAndBoundSolver().solve(model)
+        # The root LP failed cold on SIMPLEX and was re-solved by HiGHS, which
+        # exports no basis, so the root's first child starts cold too.
+        assert calls[:3] == [
+            (LpBackend.SIMPLEX, False), (LpBackend.HIGHS, False), (LpBackend.SIMPLEX, False)
+        ]
+        assert solution.status is SolverStatus.OPTIMAL
+        assert solution.stats.numerical_retries == 1
+        monkeypatch.setattr(bnb, "solve_lp_form", real)
+        highs = BranchAndBoundSolver(lp_backend=LpBackend.HIGHS).solve(model)
+        assert highs.status is SolverStatus.OPTIMAL
+        assert solution.objective_value == highs.objective_value
+
+    def test_branch_and_bound_raises_when_highs_fallback_fails_too(self, monkeypatch):
+        """If the HiGHS fallback also fails numerically, the solve raises."""
+        import repro.ilp.branch_and_bound as bnb
+        from repro.errors import SolverError
+        from repro.ilp.branch_and_bound import BranchAndBoundSolver
+        from repro.ilp.lp_backend import LpResult
+
+        backends = []
+
+        def broken(form, backend, warm_start=None, presolve=True, **kwargs):
+            backends.append(backend)
+            return LpResult(SolverStatus.NUMERICAL_ERROR, np.empty(0), float("nan"))
+
+        monkeypatch.setattr(bnb, "solve_lp_form", broken)
+        with pytest.raises(SolverError):
+            BranchAndBoundSolver().solve(self._knapsack_model())
+        assert backends == [LpBackend.SIMPLEX, LpBackend.HIGHS]
+
+
+class TestAutoPricing:
+    def test_auto_resolves_to_dantzig_on_wide_forms(self):
+        """AUTO pricing stays Dantzig at >= 2000 working columns."""
+        from repro.ilp.lp_backend import solve_lp_form
+        from repro.ilp.simplex import _WORK_CACHE_KEY
+
+        n = 2000
+        weights = np.linspace(1.0, 3.0, n)
+        model = IlpModel()
+        for i in range(n):
+            model.add_variable(f"x{i}", 0, 1, is_integer=False)
+        model.add_constraint(
+            {i: float(w) for i, w in enumerate(weights)}, ConstraintSense.LE, 25.0
+        )
+        model.set_objective(
+            ObjectiveSense.MAXIMIZE, {i: float(4.0 - w) for i, w in enumerate(weights)}
+        )
+        form = model.to_matrix()
+        result = solve_lp_form(form, LpBackend.SIMPLEX, presolve=False)
+        assert form.cache[_WORK_CACHE_KEY].ncols >= 2000
+        assert result.status is SolverStatus.OPTIMAL
+        assert result.pricing == "dantzig"

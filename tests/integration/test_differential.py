@@ -6,7 +6,10 @@ random PaQL query with a strict COUNT, optional SUM bounds and a MIN/MAX
 objective.  On each instance the harness asserts:
 
 * NAIVE (exhaustive self-join enumeration) and DIRECT (ILP) agree exactly —
-  same infeasibility verdict, and bitwise-equal optimal objectives;
+  same infeasibility verdict, and bitwise-equal optimal objectives — with
+  DIRECT run both on the engine's default solver (warm-started SIMPLEX node
+  LPs) and on a solver whose node LPs all go through HiGHS, so HiGHS stays
+  an independent cross-check of the default path;
 * SKETCHREFINE, when it returns a package, returns a *feasible* one (checked
   by the independent :func:`check_package` oracle); a reported infeasibility
   must either be real (NAIVE agrees) or carry the paper's
@@ -36,6 +39,8 @@ from repro.dataset.table import Table
 from repro.db.catalog import Database
 from repro.db.wal import MemoryLogStorage, WalRecord, WriteAheadLog, encode_record
 from repro.errors import InfeasiblePackageQueryError
+from repro.ilp.branch_and_bound import BranchAndBoundSolver
+from repro.ilp.lp_backend import LpBackend
 from repro.paql.ast import PackageQuery
 from repro.paql.builder import query_over
 from repro.paql.pretty import format_paql
@@ -99,6 +104,13 @@ def _objective_or_infeasible(engine: PackageQueryEngine, query, method: str):
     return result.objective, True, None
 
 
+def _highs_engine(engine: PackageQueryEngine) -> PackageQueryEngine:
+    """A fresh engine over the current ``diff`` table whose node LPs use HiGHS."""
+    highs = PackageQueryEngine(solver=BranchAndBoundSolver(lp_backend=LpBackend.HIGHS))
+    highs.register_table(engine.table("diff"), name="diff")
+    return highs
+
+
 def _context(seed: int, query, phase: str, test: str = "test_differential") -> str:
     return (
         f"[seed={seed}, {phase}] reproduce with: "
@@ -118,13 +130,18 @@ def _check_instance(
 
     naive_objective, naive_feasible, _ = _objective_or_infeasible(engine, query, "naive")
     direct_objective, direct_feasible, _ = _objective_or_infeasible(engine, query, "direct")
+    highs_objective, highs_feasible, _ = _objective_or_infeasible(
+        _highs_engine(engine), query, "direct"
+    )
 
-    assert naive_feasible == direct_feasible, (
+    assert naive_feasible == direct_feasible == highs_feasible, (
         f"{context}\nNAIVE feasible={naive_feasible} but DIRECT feasible={direct_feasible}"
+        f", DIRECT[HIGHS] feasible={highs_feasible}"
     )
     if naive_feasible:
-        assert naive_objective == direct_objective, (
-            f"{context}\nNAIVE objective {naive_objective!r} != DIRECT {direct_objective!r}"
+        assert naive_objective == direct_objective == highs_objective, (
+            f"{context}\nNAIVE objective {naive_objective!r}, DIRECT {direct_objective!r}"
+            f", DIRECT[HIGHS] {highs_objective!r} differ"
         )
 
     # SKETCHREFINE: any returned package must pass the independent checker; a

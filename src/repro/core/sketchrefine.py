@@ -32,7 +32,10 @@ offline partitioning of the input relation:
   Because the merge rule, the warm-start snapshots and the per-task inputs
   are all independent of *where* a task executes, a parallel refine is
   **bit-identical** to the serial one (asserted by the serial-vs-parallel
-  sweep in ``tests/integration/test_differential.py``).
+  sweep in ``tests/integration/test_differential.py``).  That also lets a
+  parallel pool keep batches of millisecond refine ILPs in-process: a batch
+  ships only once its predicted solve time reaches
+  :data:`PARALLEL_MIN_BATCH_SECONDS`.
 
 When the sketch itself is infeasible, the *hybrid sketch* mitigation of
 Section 4.4 is applied (matching the experimental setup in Section 5.1): the
@@ -85,6 +88,16 @@ from repro.ilp.model import ConstraintSense, IlpModel
 from repro.ilp.status import SolverStatus
 from repro.paql.ast import PackageQuery
 from repro.partition.partitioning import Partitioning
+
+#: Serial cut-over of a parallel pool: the rest of a refine batch ships to the
+#: workers only once its predicted in-process solve time reaches this many
+#: seconds.  The prediction is the evaluation's mean refine solve time so far
+#: times the tasks left, so an evaluation's first refine task always runs
+#: in-process.  Batches of millisecond refine ILPs cost more to ship than to
+#: solve (a shipped task takes about twice its in-process time on a 2-vCPU
+#: host); ``0`` ships every multi-task batch whole.  Where a task runs never
+#: changes the answer.
+PARALLEL_MIN_BATCH_SECONDS = 0.05
 
 
 @dataclass
@@ -143,8 +156,9 @@ class SketchRefineStats:
     pool_wall_ms: float = 0.0
     """Wall-clock milliseconds spent executing refine solve batches."""
     merge_wait_ms: float = 0.0
-    """Coordination overhead of parallel batches: wall time beyond the
-    slowest task of each batch (pickling, IPC, scheduling).  0 when serial."""
+    """Coordination overhead of the shipped part of each batch: its wall time
+    beyond its slowest task (pickling, IPC, scheduling).  0 when nothing
+    ships."""
     child_solve_ms: float = 0.0
     """Solve milliseconds summed over all refine tasks, measured inside the
     executing process — the true compute time, as opposed to the overlapped
@@ -340,13 +354,17 @@ class SketchRefineEvaluator:
         """
         constraint_means: dict[int, np.ndarray] = {}
         objective_means: dict[int, np.ndarray] = {}
+        matrix = linearisation.constraint_matrix
+        objective = linearisation.objective_coefficients
+        # Sum-then-divide is exactly ``ndarray.mean`` without its per-call
+        # overhead, which dominates on many small groups.
         for gid, rows in group_info.items():
             if not len(rows):
                 constraint_means[gid] = np.zeros(linearisation.num_constraints)
                 objective_means[gid] = np.zeros(1)
                 continue
-            constraint_means[gid] = linearisation.constraint_matrix[:, rows].mean(axis=1)
-            objective_means[gid] = np.array([linearisation.objective_coefficients[rows].mean()])
+            constraint_means[gid] = np.add.reduce(matrix[:, rows], axis=1) / len(rows)
+            objective_means[gid] = np.array([np.add.reduce(objective[rows]) / len(rows)])
         return {"constraints": constraint_means, "objective": objective_means}
 
     # -- SKETCH -------------------------------------------------------------------------------
@@ -630,16 +648,19 @@ class SketchRefineEvaluator:
         seeds — *before* any of them runs, so each is a pure function of the
         shared round context and the batch can execute anywhere: fanned out
         over the pool's worker processes, or serially through the very same
-        :func:`run_solve_task`.  Results are post-processed (stats folded in,
-        warm bases cached) in ascending group-id order either way.
+        :func:`run_solve_task`.  On a parallel pool the tasks run in-process
+        until the rest of the batch is worth shipping (see
+        :meth:`_worth_shipping`), then the rest ship as one ``pool.map``.
+        Results are post-processed (stats folded in, warm bases cached) in
+        ascending group-id order either way.
         """
         attach_basis = solver_supports_warm_start(self.solver)
+        context = self._round_context(
+            linearisation, group_means, sketch_multiplicities, assignments, pending
+        )
         tasks: list[SolveTask] = []
         for gid in order:
-            model = self._build_refine_model(
-                query, linearisation, group_info, group_means,
-                sketch_multiplicities, assignments, pending, gid,
-            )
+            model = self._build_refine_model(query, linearisation, group_info, context, gid)
             basis = self._refine_basis.get(gid) if attach_basis else None
             if basis is not None:
                 stats.refine_retry_warm_starts += 1
@@ -652,22 +673,25 @@ class SketchRefineEvaluator:
                     rng_seed=int(gid),
                 )
             )
-        stats.refine_queries += len(tasks)
 
-        run_parallel = pool.is_parallel and len(tasks) > 1 and self._can_ship_solver()
+        can_ship = pool.is_parallel and len(tasks) > 1 and self._can_ship_solver()
         batch_start = time.perf_counter()
-        if run_parallel:
-            results = pool.map(run_solve_task, tasks)
-            stats.refine_parallel_tasks += len(tasks)
-        else:
-            results = [run_solve_task(task) for task in tasks]
-        batch_wall = time.perf_counter() - batch_start
-
-        stats.pool_wall_ms += batch_wall * 1000.0
-        child_seconds = [result.solve_seconds for result in results]
-        stats.child_solve_ms += sum(child_seconds) * 1000.0
-        if run_parallel and child_seconds:
-            stats.merge_wait_ms += max(0.0, batch_wall - max(child_seconds)) * 1000.0
+        results = []
+        for index, task in enumerate(tasks):
+            if can_ship and self._worth_shipping(len(tasks) - index, stats):
+                ship_start = time.perf_counter()
+                shipped = pool.map(run_solve_task, tasks[index:])
+                ship_wall = time.perf_counter() - ship_start
+                stats.refine_parallel_tasks += len(shipped)
+                slowest = max(result.solve_seconds for result in shipped)
+                stats.merge_wait_ms += max(0.0, ship_wall - slowest) * 1000.0
+                self._record_solve_times(shipped, stats)
+                results.extend(shipped)
+                break
+            result = run_solve_task(task)
+            self._record_solve_times([result], stats)
+            results.append(result)
+        stats.pool_wall_ms += (time.perf_counter() - batch_start) * 1000.0
 
         by_gid = {result.task_id: result for result in results}
         for gid in sorted(by_gid):
@@ -677,34 +701,78 @@ class SketchRefineEvaluator:
                 self._refine_basis[gid] = result.root_basis
         return by_gid
 
+    def _worth_shipping(self, tasks_left: int, stats: SketchRefineStats) -> bool:
+        """The serial cut-over: ship the rest of a batch to the pool?
+
+        Yes once the tasks left are predicted to take at least
+        :data:`PARALLEL_MIN_BATCH_SECONDS` in-process, predicting from the
+        mean solve time of the refine tasks this evaluation already ran.
+        """
+        if tasks_left < 2:
+            return False
+        threshold = PARALLEL_MIN_BATCH_SECONDS
+        if threshold <= 0.0:
+            return True
+        if not stats.refine_queries:
+            return False
+        mean_seconds = stats.child_solve_ms / 1000.0 / stats.refine_queries
+        return mean_seconds * tasks_left >= threshold
+
+    @staticmethod
+    def _record_solve_times(results, stats: SketchRefineStats) -> None:
+        """Count finished refine solves and their in-process solve time."""
+        stats.refine_queries += len(results)
+        stats.child_solve_ms += sum(result.solve_seconds for result in results) * 1000.0
+
+    @classmethod
+    def _round_context(
+        cls,
+        linearisation: _Linearisation,
+        group_means: dict[str, dict[int, np.ndarray]],
+        sketch_multiplicities: dict[int, int],
+        assignments: dict[int, dict[int, int]],
+        pending: list[int],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Each group's share of one round's fixed context, computed once.
+
+        Returns ``(gids, terms)``: row ``i`` of ``terms`` is the constraint-row
+        contribution of group ``gids[i]`` — a refined group's tuples, or an
+        unrefined pending group's representatives at its sketch multiplicity —
+        in the order :meth:`_build_refine_model` sums them.  Row 0 is a zero
+        start row owned by no group (gid ``-1``).
+        """
+        gids = [-1]
+        terms = [np.zeros(linearisation.num_constraints)]
+        for other_gid, assignment in assignments.items():
+            if assignment:
+                gids.append(other_gid)
+                terms.append(cls._assignment_contribution(linearisation, assignment))
+        for other_gid in pending:
+            if other_gid in assignments:
+                continue
+            count = sketch_multiplicities.get(other_gid, 0)
+            if count:
+                gids.append(other_gid)
+                terms.append(count * group_means["constraints"][other_gid])
+        return np.array(gids, dtype=np.int64), np.vstack(terms)
+
     def _build_refine_model(
         self,
         query: PackageQuery,
         linearisation: _Linearisation,
         group_info: dict[int, np.ndarray],
-        group_means: dict[str, dict[int, np.ndarray]],
-        sketch_multiplicities: dict[int, int],
-        assignments: dict[int, dict[int, int]],
-        pending: list[int],
+        context: tuple[np.ndarray, np.ndarray],
         gid: int,
     ) -> IlpModel:
         """Build Q[G_j]: pick real tuples for group ``gid`` given everything else fixed."""
         rows = group_info[gid]
         per_tuple_cap = query.max_multiplicity
 
-        # Contribution of the fixed part p̄_j: refined groups' tuples plus the
-        # other unrefined groups' representatives at their sketch multiplicities.
-        fixed_constraint = np.zeros(linearisation.num_constraints)
-        for other_gid, assignment in assignments.items():
-            if other_gid == gid or not assignment:
-                continue
-            fixed_constraint += self._assignment_contribution(linearisation, assignment)
-        for other_gid in pending:
-            if other_gid == gid or other_gid in assignments:
-                continue
-            count = sketch_multiplicities.get(other_gid, 0)
-            if count:
-                fixed_constraint += count * group_means["constraints"][other_gid]
+        # Contribution of the fixed part p̄_j: every other group's share of the
+        # round context.  A cumulative sum adds the rows one after another from
+        # the zero start row, the same float operations as a running ``+=``.
+        context_gids, context_terms = context
+        fixed_constraint = np.cumsum(context_terms[context_gids != gid], axis=0)[-1]
 
         model = IlpModel(name=f"refine_{gid}")
         for row in rows:

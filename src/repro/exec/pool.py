@@ -10,7 +10,10 @@ A :class:`SolvePool` is a thin, deterministic abstraction over
 * ``workers > 1`` fans the items out over worker processes and returns the
   results **in submission order** regardless of completion order, so callers
   can merge deterministically.  Single-item batches stay in-process: there is
-  nothing to overlap and the serial path has no IPC cost.
+  nothing to overlap and the serial path has no IPC cost.  Whether a larger
+  batch is worth shipping at all is the caller's call (SKETCHREFINE keeps
+  cheap refine batches in-process, see
+  ``repro.core.sketchrefine.PARALLEL_MIN_BATCH_SECONDS``).
 * a crashed worker (killed process, hard exit) surfaces as a clean
   :class:`~repro.errors.SolverError` instead of a hang, and the broken
   executor is discarded so the pool is usable again afterwards.  Exceptions

@@ -112,9 +112,13 @@ def _validate_arrays(
             f"({len(indices)} vs {len(values)})"
         )
     if indices.size:
-        if indices.min() < 0 or indices.max() >= num_variables:
+        # Strictly increasing indices (what the evaluators pass) are unique
+        # and bounded by their ends, so skip the sort-based checks.
+        increasing = bool(np.all(indices[1:] > indices[:-1]))
+        low, high = (indices[0], indices[-1]) if increasing else (indices.min(), indices.max())
+        if low < 0 or high >= num_variables:
             raise SolverError(f"{what} references an unknown variable index")
-        if np.unique(indices).size != indices.size:
+        if not increasing and np.unique(indices).size != indices.size:
             raise SolverError(f"{what} contains duplicate variable indices")
     # Structural zero-dropping, as in _coefficient_arrays.
     nonzero = values.astype(bool)

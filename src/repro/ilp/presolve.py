@@ -99,7 +99,7 @@ class _Rows:
     """
 
     __slots__ = (
-        "row", "col", "data", "num_rows",
+        "row", "col", "data", "positive", "num_rows",
         "tmin", "tmax", "fin_min", "fin_max", "ninf_min", "ninf_max",
         "min_act", "max_act",
     )
@@ -115,36 +115,45 @@ class _Rows:
             self.row = rows.astype(np.int64)
             self.col = cols.astype(np.int64)
             self.data = np.asarray(matrix[rows, cols], dtype=np.float64)
+        # Coefficient tightening never flips a sign, so this mask stays valid.
+        self.positive = self.data > 0
         self.num_rows = int(matrix.shape[0])
 
     def compute_activities(self, lower: np.ndarray, upper: np.ndarray) -> None:
-        positive = self.data > 0
-        self.tmin = np.where(positive, self.data * lower[self.col], self.data * upper[self.col])
-        self.tmax = np.where(positive, self.data * upper[self.col], self.data * lower[self.col])
-        min_inf = ~np.isfinite(self.tmin)
-        max_inf = ~np.isfinite(self.tmax)
+        at_lower = self.data * lower[self.col]
+        at_upper = self.data * upper[self.col]
+        self.tmin = np.where(self.positive, at_lower, at_upper)
+        self.tmax = np.where(self.positive, at_upper, at_lower)
+        self.fin_min, self.ninf_min, self.min_act = self._row_sums(self.tmin, -np.inf)
+        self.fin_max, self.ninf_max, self.max_act = self._row_sums(self.tmax, np.inf)
+
+    def _row_sums(
+        self, terms: np.ndarray, infinity: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per row: the sum of the finite terms, the count of infinite ones,
+        and the activity (``infinity`` wherever a term is infinite)."""
         m = self.num_rows
-        self.fin_min = np.bincount(self.row, weights=np.where(min_inf, 0.0, self.tmin), minlength=m)
-        self.fin_max = np.bincount(self.row, weights=np.where(max_inf, 0.0, self.tmax), minlength=m)
-        self.ninf_min = np.bincount(self.row, weights=min_inf.astype(np.float64), minlength=m)
-        self.ninf_max = np.bincount(self.row, weights=max_inf.astype(np.float64), minlength=m)
-        self.min_act = np.where(self.ninf_min > 0, -np.inf, self.fin_min)
-        self.max_act = np.where(self.ninf_max > 0, np.inf, self.fin_max)
+        infinite = ~np.isfinite(terms)
+        if not infinite.any():
+            # Bounded variables (the common case): no infinity bookkeeping.
+            sums = np.bincount(self.row, weights=terms, minlength=m)
+            return sums, np.zeros(m), sums
+        sums = np.bincount(self.row, weights=np.where(infinite, 0.0, terms), minlength=m)
+        counts = np.bincount(self.row, weights=infinite.astype(np.float64), minlength=m)
+        return sums, counts, np.where(counts > 0, infinity, sums)
 
     def residual_min(self) -> np.ndarray:
         """Per entry: the row's minimal activity *excluding* that entry."""
-        others_inf = np.where(
-            np.isfinite(self.tmin), self.ninf_min[self.row] > 0, self.ninf_min[self.row] > 1
-        )
-        finite_part = self.fin_min[self.row] - np.where(np.isfinite(self.tmin), self.tmin, 0.0)
+        finite = np.isfinite(self.tmin)
+        others_inf = np.where(finite, self.ninf_min[self.row] > 0, self.ninf_min[self.row] > 1)
+        finite_part = self.fin_min[self.row] - np.where(finite, self.tmin, 0.0)
         return np.where(others_inf, -np.inf, finite_part)
 
     def residual_max(self) -> np.ndarray:
         """Per entry: the row's maximal activity *excluding* that entry."""
-        others_inf = np.where(
-            np.isfinite(self.tmax), self.ninf_max[self.row] > 0, self.ninf_max[self.row] > 1
-        )
-        finite_part = self.fin_max[self.row] - np.where(np.isfinite(self.tmax), self.tmax, 0.0)
+        finite = np.isfinite(self.tmax)
+        others_inf = np.where(finite, self.ninf_max[self.row] > 0, self.ninf_max[self.row] > 1)
+        finite_part = self.fin_max[self.row] - np.where(finite, self.tmax, 0.0)
         return np.where(others_inf, np.inf, finite_part)
 
 
@@ -190,7 +199,7 @@ def _propagate_le(
     slack = rhs[rows.row] - rows.residual_min()
     with np.errstate(invalid="ignore"):
         candidate = slack / rows.data
-    positive = rows.data > 0
+    positive = rows.positive
     use_u = keep & positive & np.isfinite(candidate)
     use_l = keep & ~positive & np.isfinite(candidate)
     tightened = 0
@@ -213,7 +222,7 @@ def _propagate_ge(
     surplus = rhs[rows.row] - rows.residual_max()
     with np.errstate(invalid="ignore"):
         candidate = surplus / rows.data
-    positive = rows.data > 0
+    positive = rows.positive
     # a_ij x_j >= surplus: a lower bound for positive coefficients, but the
     # division flips the inequality for negative ones — an *upper* bound.
     use_l = keep & positive & np.isfinite(candidate)
@@ -648,8 +657,10 @@ def presolve_form(
     b_eq = np.asarray(form.b_eq, dtype=np.float64).reshape(-1)
     active_ub = np.ones(mu, dtype=bool)
     active_eq = np.ones(me, dtype=bool)
-    ub_tol = _row_tolerance(b_ub)
+    # Row-test limits: right-hand sides widened by the row tolerance.
+    ub_hi = b_ub + _row_tolerance(b_ub)
     eq_tol = _row_tolerance(b_eq)
+    eq_hi, eq_lo = b_eq + eq_tol, b_eq - eq_tol
 
     def infeasible() -> PresolveResult:
         stats.presolve_ms = (time.perf_counter() - started) * 1000.0
@@ -659,15 +670,16 @@ def presolve_form(
     if np.any(lower > upper + fix_tol):
         return infeasible()
 
+    converged = False
     for _ in range(max_passes):
         stats.passes += 1
         tightened = 0
 
         ub_rows.compute_activities(lower, upper)
-        if np.any(active_ub & (ub_rows.min_act > b_ub + ub_tol)):
+        if np.any(active_ub & (ub_rows.min_act > ub_hi)):
             return infeasible()
         # Redundant <= rows: can never bind under the current bounds.
-        redundant = active_ub & (ub_rows.max_act <= b_ub + ub_tol)
+        redundant = active_ub & (ub_rows.max_act <= ub_hi)
         if redundant.any():
             active_ub[redundant] = False
         tightened += _propagate_le(ub_rows, b_ub, active_ub, lower, upper)
@@ -678,15 +690,15 @@ def presolve_form(
         )
         if coeffs:
             stats.coefficients_tightened += coeffs
-            ub_tol = _row_tolerance(b_ub)
+            ub_hi = b_ub + _row_tolerance(b_ub)
 
         eq_rows.compute_activities(lower, upper)
-        if np.any(active_eq & (eq_rows.min_act > b_eq + eq_tol)):
+        if np.any(active_eq & (eq_rows.min_act > eq_hi)):
             return infeasible()
-        if np.any(active_eq & (eq_rows.max_act < b_eq - eq_tol)):
+        if np.any(active_eq & (eq_rows.max_act < eq_lo)):
             return infeasible()
         # Forced equality rows: every point within bounds satisfies them.
-        forced = active_eq & (eq_rows.max_act <= b_eq + eq_tol) & (eq_rows.min_act >= b_eq - eq_tol)
+        forced = active_eq & (eq_rows.max_act <= eq_hi) & (eq_rows.min_act >= eq_lo)
         if forced.any():
             active_eq[forced] = False
         tightened += _propagate_le(eq_rows, b_eq, active_eq, lower, upper)
@@ -698,19 +710,25 @@ def presolve_form(
             return infeasible()
         stats.bounds_tightened += tightened
         if tightened == 0 and coeffs == 0:
+            converged = True
             break
 
-    # One final activity refresh so the redundancy masks reflect the last pass.
-    ub_rows.compute_activities(lower, upper)
-    if np.any(active_ub & (ub_rows.min_act > b_ub + ub_tol)):
-        return infeasible()
-    active_ub &= ~(ub_rows.max_act <= b_ub + ub_tol)
-    eq_rows.compute_activities(lower, upper)
-    if np.any(active_eq & (eq_rows.min_act > b_eq + eq_tol)):
-        return infeasible()
-    if np.any(active_eq & (eq_rows.max_act < b_eq - eq_tol)):
-        return infeasible()
-    active_eq &= ~((eq_rows.max_act <= b_eq + eq_tol) & (eq_rows.min_act >= b_eq - eq_tol))
+    if not converged:
+        # One final activity refresh so the redundancy masks reflect the last
+        # pass.  A converged pass changed no bound or coefficient after its
+        # own activity checks, so its masks are already final.
+        ub_rows.compute_activities(lower, upper)
+        if np.any(active_ub & (ub_rows.min_act > ub_hi)):
+            return infeasible()
+        active_ub &= ~(ub_rows.max_act <= ub_hi)
+        eq_rows.compute_activities(lower, upper)
+        if np.any(active_eq & (eq_rows.min_act > eq_hi)):
+            return infeasible()
+        if np.any(active_eq & (eq_rows.max_act < eq_lo)):
+            return infeasible()
+        active_eq &= ~(
+            (eq_rows.max_act <= eq_hi) & (eq_rows.min_act >= eq_lo)
+        )
 
     finite = np.isfinite(lower) & np.isfinite(upper)
     span = np.full(n, np.inf)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import sketchrefine
 from repro.core.direct import DirectEvaluator
 from repro.core.sketchrefine import SketchRefineConfig, SketchRefineEvaluator
 from repro.core.validation import check_package, objective_value
@@ -128,12 +129,14 @@ class TestBasicBehaviour:
         assert stats.merge_wait_ms == 0.0  # serial batches have no wait gap
 
     def test_parallel_workers_give_identical_package_and_search_shape(
-        self, recipes_with_partitioning, fast_solver
+        self, recipes_with_partitioning, fast_solver, monkeypatch
     ):
         table, partitioning = recipes_with_partitioning
         query = meal_planner_query()
         serial = SketchRefineEvaluator(solver=fast_solver)
         serial_package = serial.evaluate(table, query, partitioning, workers=1)
+        # A zero cut-over ships every multi-task batch, however cheap.
+        monkeypatch.setattr(sketchrefine, "PARALLEL_MIN_BATCH_SECONDS", 0.0)
         parallel = SketchRefineEvaluator(solver=fast_solver)
         parallel_package = parallel.evaluate(table, query, partitioning, workers=2)
         assert serial_package.same_contents(parallel_package)
@@ -143,6 +146,55 @@ class TestBasicBehaviour:
         ):
             assert getattr(serial.last_stats, field) == getattr(parallel.last_stats, field)
         assert parallel.last_stats.refine_workers == 2
+
+
+def _spread_query():
+    """A query whose sketch spans several groups: a multi-task refine batch."""
+    return query_over("recipes").no_repetition().count_equals(30).maximize_sum("protein").build()
+
+
+class TestParallelCutOver:
+    """On a parallel pool, refine batches ship only when worth shipping."""
+
+    def _evaluate(self, table, partitioning, solver, workers):
+        evaluator = SketchRefineEvaluator(solver=solver)
+        package = evaluator.evaluate(table, _spread_query(), partitioning, workers=workers)
+        return package, evaluator.last_stats
+
+    def test_cheap_batches_stay_in_process(self, recipes_with_partitioning, fast_solver):
+        table, partitioning = recipes_with_partitioning
+        package, stats = self._evaluate(table, partitioning, fast_solver, workers=2)
+        assert stats.refine_queries >= 2
+        # Millisecond refine ILPs fall far short of the default cut-over.
+        assert stats.refine_parallel_tasks == 0
+        assert stats.merge_wait_ms == 0.0
+        serial, _ = self._evaluate(table, partitioning, fast_solver, workers=1)
+        assert package.same_contents(serial)
+
+    def test_first_task_runs_in_process_then_the_rest_ships(
+        self, recipes_with_partitioning, fast_solver, monkeypatch
+    ):
+        table, partitioning = recipes_with_partitioning
+        monkeypatch.setattr(sketchrefine, "PARALLEL_MIN_BATCH_SECONDS", 1e-9)
+        package, stats = self._evaluate(table, partitioning, fast_solver, workers=2)
+        assert stats.refine_rounds == 1 and stats.refine_queries >= 3
+        # No solve time is known before the first task, so it runs in-process;
+        # its time then predicts the rest of the batch over any tiny cut-over.
+        assert stats.refine_parallel_tasks == stats.refine_queries - 1
+        serial, _ = self._evaluate(table, partitioning, fast_solver, workers=1)
+        assert package.same_contents(serial)
+
+    def test_zero_cut_over_ships_the_whole_batch(
+        self, recipes_with_partitioning, fast_solver, monkeypatch
+    ):
+        table, partitioning = recipes_with_partitioning
+        monkeypatch.setattr(sketchrefine, "PARALLEL_MIN_BATCH_SECONDS", 0.0)
+        package, stats = self._evaluate(table, partitioning, fast_solver, workers=2)
+        assert stats.refine_rounds == 1
+        assert stats.refine_parallel_tasks == stats.refine_queries
+        serial, serial_stats = self._evaluate(table, partitioning, fast_solver, workers=1)
+        assert package.same_contents(serial)
+        assert serial_stats.refine_parallel_tasks == 0
 
 
 class TestInfeasibilityHandling:

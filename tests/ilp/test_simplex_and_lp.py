@@ -282,18 +282,27 @@ class TestNumericalErrorStatus:
         calls = []
 
         def flaky(form, backend, warm_start=None, presolve=True, **kwargs):
-            calls.append((backend, warm_start is not None))
-            if backend is LpBackend.SIMPLEX and warm_start is None and len(calls) == 1:
+            calls.append((backend, warm_start is not None, form))
+            if len(calls) == 1:
                 return LpResult(SolverStatus.NUMERICAL_ERROR, np.empty(0), float("nan"))
             return real(form, backend, warm_start=warm_start, presolve=presolve, **kwargs)
 
         monkeypatch.setattr(bnb, "solve_lp_form", flaky)
         solution = BranchAndBoundSolver().solve(model)
-        # The root LP failed cold on SIMPLEX and was re-solved by HiGHS, which
-        # exports no basis, so the root's first child starts cold too.
-        assert calls[:3] == [
-            (LpBackend.SIMPLEX, False), (LpBackend.HIGHS, False), (LpBackend.SIMPLEX, False)
-        ]
+        # The failing call is a cold SIMPLEX solve; the next call re-solves
+        # the same node (same matrices, same bounds) with HiGHS.
+        assert calls[0][:2] == (LpBackend.SIMPLEX, False)
+        assert calls[1][:2] == (LpBackend.HIGHS, False)
+        failed_form, fallback_form = calls[0][2], calls[1][2]
+        assert fallback_form.a_ub is failed_form.a_ub
+        for failed_bound, fallback_bound in zip(
+            failed_form.bound_arrays(), fallback_form.bound_arrays()
+        ):
+            np.testing.assert_array_equal(failed_bound, fallback_bound)
+        # HiGHS exports no basis, so whatever LP runs next starts cold (the
+        # knapsack's root relaxation is fractional, so the root branches).
+        assert len(calls) > 2
+        assert calls[2][1] is False
         assert solution.status is SolverStatus.OPTIMAL
         assert solution.stats.numerical_retries == 1
         monkeypatch.setattr(bnb, "solve_lp_form", real)

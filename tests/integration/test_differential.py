@@ -32,6 +32,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import sketchrefine
 from repro.core.engine import PackageQueryEngine
 from repro.core.validation import check_package
 from repro.dataset.schema import Schema
@@ -204,7 +205,7 @@ def _sketchrefine_outcome(engine: PackageQueryEngine, query):
 
 
 @pytest.mark.parametrize("seed", PARALLEL_SWEEP_SEEDS)
-def test_serial_parallel_equivalence(seed: int):
+def test_serial_parallel_equivalence(seed: int, monkeypatch):
     """Parallel refine is bit-identical to serial at every worker count.
 
     For each seeded instance the same query runs through SKETCHREFINE with
@@ -218,6 +219,9 @@ def test_serial_parallel_equivalence(seed: int):
     insert, delete = _random_delta(np.random.default_rng(seed + 77), table)
 
     outcomes: dict[int, list] = {}
+    # A zero cut-over ships every multi-task refine batch, so the parallel
+    # runs really execute in worker processes despite the tiny instances.
+    monkeypatch.setattr(sketchrefine, "PARALLEL_MIN_BATCH_SECONDS", 0.0)
     for workers in PARALLEL_SWEEP_WORKERS:
         engine = PackageQueryEngine(workers=workers)
         engine.register_table(table, name="diff")

@@ -14,11 +14,11 @@ uploaded CI artifact, not just throughput.  A presolve ablation solves the
 ablation queries (including a flux-budget probe most of whose columns can
 never enter a package) with root presolve on and off — objectives must match
 — and profiles the root-LP columns/rows eliminated on the large DIRECT
-instance.  A pricing ablation solves the solver queries under each fixed
-pricing rule (Dantzig / devex / steepest-edge) — same LU-factorised basis,
-different entering-column choice — asserting identical objectives and
-recording per-rule pivot counts, and a large-instance profile repeats the
-Dantzig-vs-devex comparison end-to-end at ``--form-rows``.  The JSON is
+instance.  The solver's one pricing rule (Dantzig) is profiled per query —
+pivot counts, refactorisations, eta peak — on the solver queries
+(``pricing_ablation``) and end-to-end at ``--form-rows`` (``large_solve``);
+both keep their ``dantzig`` key so CI can hold the pivot counts to the
+committed baseline.  The JSON is
 committed in-repo so future performance PRs have a trajectory to compare
 against, and CI re-generates it as a build artifact on every push.
 
@@ -46,7 +46,7 @@ from repro.db.expressions import col
 from repro.ilp.branch_and_bound import BranchAndBoundSolver, SolverLimits
 from repro.ilp.lp_backend import LpBackend
 from repro.ilp.presolve import presolve_form
-from repro.ilp.simplex import PricingRule, _WorkMatrix
+from repro.ilp.simplex import _WorkMatrix
 from repro.paql.builder import query_over
 from repro.workloads.galaxy import galaxy_table, galaxy_workload
 
@@ -262,89 +262,45 @@ def _presolve_ablation(table, workload) -> dict:
     return configurations
 
 
-#: Pricing rules compared by the ablation.  AUTO is not listed because it
-#: resolves to one of these depending on column count; the ablation's point
-#: is the head-to-head pivot-count comparison at fixed rules.
-_PRICING_RULES = (PricingRule.DANTZIG, PricingRule.DEVEX, PricingRule.STEEPEST_EDGE)
-
 #: Queries in the 20k-row large-instance solve profile.
 _LARGE_SOLVE_QUERIES = ("Q1", "Q5")
 
 
-def _solve_queries_with_pricing(table, workload, query_names, rules) -> dict:
-    """Solve each query under each fixed pricing rule; objectives must agree.
-
-    Every rule prices from the same LU-factorised basis, so the only degree
-    of freedom is *which* improving column enters — all rules must land on
-    an identical objective, and the interesting output is the pivot count.
-    """
-    configurations = {}
-    for rule in rules:
-        per_query = {}
-        started = time.perf_counter()
-        nodes = 0
-        for name in query_names:
-            translation = translate_query(table, workload.query(name).query)
-            solver = BranchAndBoundSolver(
-                limits=SolverLimits(relative_gap=1e-3, node_limit=2000),
-                lp_backend=LpBackend.SIMPLEX,
-                pricing=rule,
-            )
-            solution = solver.solve(translation.model)
-            stats = solution.stats
-            nodes += stats.nodes_explored
-            per_query[name] = {
-                "status": solution.status.value,
-                "objective": None
-                if solution.objective_value != solution.objective_value
-                else solution.objective_value,
-                "nodes_explored": stats.nodes_explored,
-                "lp_solves": stats.lp_solves,
-                "simplex_iterations": stats.simplex_iterations,
-                "refactorizations": stats.refactorizations,
-                "eta_peak": stats.eta_peak,
-                "pricing_rule": stats.pricing_rule,
-            }
-        elapsed = time.perf_counter() - started
-        configurations[rule.value] = {
+def _pricing_profile(table, workload, query_names) -> dict:
+    """Per-query Dantzig pivot counts, keyed by the rule name for the CI budget."""
+    per_query = {}
+    started = time.perf_counter()
+    nodes = 0
+    for name in query_names:
+        translation = translate_query(table, workload.query(name).query)
+        solver = BranchAndBoundSolver(
+            limits=SolverLimits(relative_gap=1e-3, node_limit=2000),
+            lp_backend=LpBackend.SIMPLEX,
+        )
+        solution = solver.solve(translation.model)
+        stats = solution.stats
+        nodes += stats.nodes_explored
+        per_query[name] = {
+            "status": solution.status.value,
+            "objective": None
+            if solution.objective_value != solution.objective_value
+            else solution.objective_value,
+            "nodes_explored": stats.nodes_explored,
+            "lp_solves": stats.lp_solves,
+            "simplex_iterations": stats.simplex_iterations,
+            "refactorizations": stats.refactorizations,
+            "eta_peak": stats.eta_peak,
+            "pricing_rule": stats.pricing_rule,
+        }
+    elapsed = time.perf_counter() - started
+    return {
+        "dantzig": {
             "wall_seconds": round(elapsed, 4),
             "nodes_per_second": round(nodes / elapsed, 1),
-            "simplex_iterations": sum(
-                q["simplex_iterations"] for q in per_query.values()
-            ),
+            "simplex_iterations": sum(q["simplex_iterations"] for q in per_query.values()),
             "per_query": per_query,
         }
-    reference = rules[0].value
-    matches = all(
-        configurations[rule.value]["per_query"][name]["status"]
-        == configurations[reference]["per_query"][name]["status"]
-        and configurations[rule.value]["per_query"][name]["objective"]
-        == configurations[reference]["per_query"][name]["objective"]
-        for rule in rules[1:]
-        for name in query_names
-    )
-    configurations["objectives_match"] = matches
-    return configurations
-
-
-def _pricing_ablation(table, workload) -> dict:
-    """Dantzig vs devex vs steepest-edge pivot counts on the solver queries."""
-    return _solve_queries_with_pricing(table, workload, _QUERIES, _PRICING_RULES)
-
-
-def _large_solve_profile(table, workload) -> dict:
-    """End-to-end solves on the --form-rows instance, per pricing rule.
-
-    At 20k columns AUTO already selects devex; solving under the fixed rules
-    shows what that choice buys (and that the answers are bit-identical).
-    Steepest-edge is excluded: its exact ratios need one FTRAN per probed
-    column, which is not competitive at this width and would dominate the
-    benchmark's wall time.
-    """
-    return _solve_queries_with_pricing(
-        table, workload, _LARGE_SOLVE_QUERIES,
-        (PricingRule.DANTZIG, PricingRule.DEVEX),
-    )
+    }
 
 
 def _profile_storage(table, workload, query_names) -> dict:
@@ -431,7 +387,7 @@ def main() -> None:
     cold = _run_configuration(table, workload, warm_start_lp=False)
     storage = _profile_storage(table, workload, _STORAGE_QUERIES)
     presolve_solves = _presolve_ablation(table, workload)
-    pricing = _pricing_ablation(table, workload)
+    pricing = _pricing_profile(table, workload, _QUERIES)
 
     large_table = galaxy_table(args.form_rows, seed=args.seed)
     large_workload = galaxy_workload(large_table, seed=args.seed)
@@ -439,7 +395,7 @@ def main() -> None:
     presolve_root_large = _profile_root_reduction(
         large_table, large_workload, _PRESOLVE_QUERIES
     )
-    large_solve = _large_solve_profile(large_table, large_workload)
+    large_solve = _pricing_profile(large_table, large_workload, _LARGE_SOLVE_QUERIES)
 
     try:
         commit = subprocess.run(
@@ -525,21 +481,12 @@ def main() -> None:
         f"{probe['presolve_ms']:.1f} ms; objectives match: "
         f"{presolve_solves['objectives_match']}"
     )
-    pivot_line = ", ".join(
-        f"{rule.value} {pricing[rule.value]['simplex_iterations']}"
-        for rule in _PRICING_RULES
-    )
+    print(f"dantzig @{args.rows} rows: {pricing['dantzig']['simplex_iterations']} pivots")
+    dantzig_large = large_solve["dantzig"]
     print(
-        f"pricing ablation @{args.rows} rows: pivots {pivot_line}; "
-        f"objectives match: {pricing['objectives_match']}"
-    )
-    devex_large = large_solve["devex"]
-    print(
-        f"large solve @{args.form_rows} rows: devex "
-        f"{devex_large['nodes_per_second']} nodes/s, "
-        f"{devex_large['simplex_iterations']} pivots "
-        f"(dantzig {large_solve['dantzig']['simplex_iterations']}); "
-        f"objectives match: {large_solve['objectives_match']}"
+        f"large solve @{args.form_rows} rows: dantzig "
+        f"{dantzig_large['nodes_per_second']} nodes/s, "
+        f"{dantzig_large['simplex_iterations']} pivots"
     )
     rss = report["peak_rss_bytes"]
     if rss:

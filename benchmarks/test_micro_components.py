@@ -17,7 +17,7 @@ from repro.core.direct import DirectEvaluator
 from repro.core.translator import translate_query
 from repro.db.expressions import col
 from repro.ilp.branch_and_bound import BranchAndBoundSolver, SolverLimits
-from repro.ilp.lp_backend import LpBackend, WarmStart, solve_lp, solve_lp_dense
+from repro.ilp.lp_backend import LpBackend, WarmStart, solve_lp, solve_lp_form
 from repro.paql.parser import parse_paql
 from repro.partition.quadtree import QuadTreePartitioner
 from repro.workloads.galaxy import galaxy_table, galaxy_workload
@@ -79,7 +79,7 @@ def test_lp_cold_solve_speed_simplex(benchmark, galaxy_fixture):
     table, workload = galaxy_fixture
     translation = translate_query(table, workload.query("Q1").query)
     dense = translation.model.to_dense()
-    parent = solve_lp_dense(dense, LpBackend.SIMPLEX)
+    parent = solve_lp_form(dense, LpBackend.SIMPLEX)
     assert parent.status.has_solution
     lower, upper = dense.bound_arrays()
     branch = int(np.argmax(np.abs(parent.values - np.rint(parent.values))))
@@ -87,7 +87,7 @@ def test_lp_cold_solve_speed_simplex(benchmark, galaxy_fixture):
     child_upper[branch] = np.floor(parent.values[branch])
     child = dense.with_bounds(lower, child_upper)
 
-    result = benchmark(solve_lp_dense, child, LpBackend.SIMPLEX)
+    result = benchmark(solve_lp_form, child, LpBackend.SIMPLEX)
     assert result.status.has_solution
     assert not result.warm_start_used
 
@@ -98,7 +98,7 @@ def test_lp_warm_reoptimisation_speed_simplex(benchmark, galaxy_fixture):
     table, workload = galaxy_fixture
     translation = translate_query(table, workload.query("Q1").query)
     dense = translation.model.to_dense()
-    parent = solve_lp_dense(dense, LpBackend.SIMPLEX)
+    parent = solve_lp_form(dense, LpBackend.SIMPLEX)
     assert parent.status.has_solution
     lower, upper = dense.bound_arrays()
     branch = int(np.argmax(np.abs(parent.values - np.rint(parent.values))))
@@ -107,7 +107,7 @@ def test_lp_warm_reoptimisation_speed_simplex(benchmark, galaxy_fixture):
     child = dense.with_bounds(lower, child_upper)
     warm = WarmStart(basis=parent.basis)
 
-    result = benchmark(solve_lp_dense, child, LpBackend.SIMPLEX, warm)
+    result = benchmark(solve_lp_form, child, LpBackend.SIMPLEX, warm)
     assert result.status.has_solution
     assert result.warm_start_used
 

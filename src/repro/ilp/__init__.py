@@ -14,13 +14,10 @@ an equivalent black box implemented from scratch:
   redundant-row removal) with solution *and* basis mapping between the
   reduced and original spaces, run before the root LP of every solve,
 * :class:`~repro.ilp.branch_and_bound.BranchAndBoundSolver` — an exact ILP
-  solver with configurable node selection, branching rules, rounding
-  heuristics, basis reuse across the search tree, and capacity/time budgets
-  (the capacity budget emulates CPLEX running out of memory on huge problems,
-  which the paper reports as DIRECT failures),
-* :class:`~repro.ilp.rounding.RelaxAndRoundSolver` — an LP-relaxation +
-  rounding heuristic, used as an additional baseline and to demonstrate that
-  the package evaluators treat the solver as a genuine black box,
+  solver (best-bound node order, most-fractional branching, a rounding
+  heuristic) with basis reuse across the search tree and capacity/time
+  budgets (the capacity budget emulates CPLEX running out of memory on huge
+  problems, which the paper reports as DIRECT failures),
 * :mod:`~repro.ilp.iis` — a simple irreducible-infeasible-set approximation
   (the paper mentions IIS as the mechanism for the "dropping partitioning
   attributes" mitigation of false infeasibility).
@@ -32,8 +29,7 @@ from repro.ilp.status import SolveStats, SolverStatus, Solution
 from repro.ilp.lp_backend import LpBackend, WarmStart, solve_lp
 from repro.ilp.presolve import Postsolve, PresolveResult, PresolveStats, presolve_form
 from repro.ilp.simplex import SimplexBasis
-from repro.ilp.branch_and_bound import BranchAndBoundSolver, BranchingRule, NodeSelection, SolverLimits
-from repro.ilp.rounding import RelaxAndRoundSolver
+from repro.ilp.branch_and_bound import BranchAndBoundSolver, SolverLimits
 from repro.ilp.iis import find_iis
 
 __all__ = [
@@ -58,8 +54,5 @@ __all__ = [
     "PresolveStats",
     "BranchAndBoundSolver",
     "SolverLimits",
-    "BranchingRule",
-    "NodeSelection",
-    "RelaxAndRoundSolver",
     "find_iis",
 ]

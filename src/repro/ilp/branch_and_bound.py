@@ -7,13 +7,13 @@ It implements a classic LP-relaxation branch-and-bound:
 2. If the relaxation is infeasible or its bound cannot beat the incumbent,
    prune the node.
 3. If the relaxation is integral, update the incumbent.
-4. Otherwise pick a fractional variable (most-fractional or pseudo-cost
-   branching) and create two child nodes with tightened bounds.
+4. Otherwise branch on the most fractional variable: two child nodes with
+   tightened bounds.
 
-Node selection is best-bound by default (good bounds early) with a
-depth-first option for memory-constrained runs.  A rounding heuristic tries
-to convert fractional relaxations into incumbents early, which greatly speeds
-up the package-query instances (0/1-style multiplicity variables).
+Open nodes are explored best-bound first (good bounds early).  A rounding
+heuristic tries to convert fractional relaxations into incumbents early,
+which greatly speeds up the package-query instances (0/1-style multiplicity
+variables).
 
 **Basis reuse.**  The model is exported to its (sparse-first)
 :class:`~repro.ilp.matrix_form.MatrixForm` exactly once per solve (and the
@@ -57,7 +57,6 @@ benchmark harness reproduce the failure regime deterministically.
 
 from __future__ import annotations
 
-import enum
 import heapq
 import itertools
 import time
@@ -79,21 +78,6 @@ _BOUND_TOLERANCE = 1e-9
 #: equal-objective optima survive the dual reduction (ties must not be cut:
 #: the differential harness asserts NAIVE == DIRECT on the solution itself).
 _CUTOFF_SLACK = 1e-6
-
-
-class BranchingRule(enum.Enum):
-    """How to choose the fractional variable to branch on."""
-
-    MOST_FRACTIONAL = "most_fractional"
-    PSEUDO_COST = "pseudo_cost"
-    FIRST_FRACTIONAL = "first_fractional"
-
-
-class NodeSelection(enum.Enum):
-    """Order in which open branch-and-bound nodes are explored."""
-
-    BEST_BOUND = "best_bound"
-    DEPTH_FIRST = "depth_first"
 
 
 @dataclass
@@ -144,26 +128,18 @@ class BranchAndBoundSolver:
     cold through HiGHS and serves as an independent cross-check.
     """
 
+    #: Entering-variable rule of the SIMPLEX node LPs (fixed, not a setting).
+    pricing = PricingRule.DANTZIG
+
     def __init__(
         self,
         limits: SolverLimits | None = None,
-        branching: BranchingRule = BranchingRule.MOST_FRACTIONAL,
-        node_selection: NodeSelection = NodeSelection.BEST_BOUND,
         lp_backend: LpBackend = LpBackend.SIMPLEX,
-        enable_rounding_heuristic: bool = True,
         warm_start_lp: bool = True,
         presolve: bool = True,
-        pricing: PricingRule = PricingRule.AUTO,
     ):
         self.limits = limits or SolverLimits()
-        self.branching = branching
-        self.node_selection = node_selection
         self.lp_backend = lp_backend
-        # Simplex entering-variable rule for node LPs (SIMPLEX backend only);
-        # AUTO resolves per instance width, the explicit rules exist for the
-        # pricing-ablation benchmark.
-        self.pricing = pricing
-        self.enable_rounding_heuristic = enable_rounding_heuristic
         # Basis reuse across the tree (SIMPLEX backend only); the off switch
         # exists so benchmarks can measure cold-vs-warm node throughput.
         self.warm_start_lp = warm_start_lp
@@ -189,9 +165,7 @@ class BranchAndBoundSolver:
 
         start = time.perf_counter()
         form = model.to_matrix()
-        n = model.num_variables
-
-        if n == 0:
+        if model.num_variables == 0:
             # Degenerate: empty model is trivially feasible with empty assignment.
             return Solution(SolverStatus.OPTIMAL, np.empty(0), 0.0, stats)
 
@@ -233,10 +207,6 @@ class BranchAndBoundSolver:
         sense = model.objective.sense
         incumbent: np.ndarray | None = None
         incumbent_value = sense.worst_value
-
-        pseudo_up = np.ones(n)
-        pseudo_down = np.ones(n)
-        pseudo_counts = np.zeros(n)
 
         counter = itertools.count()
         heap: list[_Node] = []
@@ -330,35 +300,30 @@ class BranchAndBoundSolver:
                     stats.incumbent_updates += 1
                 continue
 
-            if self.enable_rounding_heuristic:
-                heuristic = self._rounding_heuristic(model, lp_result.values, integer_mask,
-                                                     node.lower_bounds, node.upper_bounds)
-                if heuristic is not None:
-                    value = model.objective_value(heuristic)
-                    if incumbent is None or sense.better(value, incumbent_value):
-                        incumbent = heuristic
-                        incumbent_value = value
-                        stats.incumbent_updates += 1
+            heuristic = self._rounding_heuristic(model, lp_result.values, integer_mask,
+                                                 node.lower_bounds, node.upper_bounds)
+            if heuristic is not None:
+                value = model.objective_value(heuristic)
+                if incumbent is None or sense.better(value, incumbent_value):
+                    incumbent = heuristic
+                    incumbent_value = value
+                    stats.incumbent_updates += 1
 
             # Optimality-gap stop.
             if incumbent is not None and self._gap(sense, bound, incumbent_value) <= self.limits.relative_gap:
                 continue
 
-            branch_index = self._choose_branch_variable(
-                fractional, lp_result.values, pseudo_up, pseudo_down, pseudo_counts
-            )
-            branch_value = lp_result.values[branch_index]
-            floor_value = np.floor(branch_value)
-
-            self._update_pseudo_costs(
-                pseudo_up, pseudo_down, pseudo_counts, branch_index, branch_value
-            )
+            branch_index = self._most_fractional(fractional, lp_result.values)
+            floor_value = np.floor(lp_result.values[branch_index])
 
             # Children inherit this node's optimal basis: they differ by one
             # tightened bound, so their LPs dual-reoptimise from it.
             child_basis = lp_result.basis if self.warm_start_lp else None
+            # Best bound first: the heap is a min-heap, so minimisation uses
+            # the bound directly and maximisation its negation.
+            priority = bound if sense is ObjectiveSense.MINIMIZE else -bound
             down = _Node(
-                priority=self._node_priority(sense, bound, node.depth + 1),
+                priority=priority,
                 sequence=next(counter),
                 depth=node.depth + 1,
                 lower_bounds=node.lower_bounds.copy(),
@@ -368,7 +333,7 @@ class BranchAndBoundSolver:
             down.upper_bounds[branch_index] = floor_value
 
             up = _Node(
-                priority=self._node_priority(sense, bound, node.depth + 1),
+                priority=priority,
                 sequence=next(counter),
                 depth=node.depth + 1,
                 lower_bounds=node.lower_bounds.copy(),
@@ -467,10 +432,7 @@ class BranchAndBoundSolver:
             and backend is LpBackend.SIMPLEX
         ):
             warm = WarmStart(basis=node.parent_basis)
-        result = solve_lp_form(
-            node_form, backend, warm_start=warm, presolve=False,
-            pricing=self.pricing,
-        )
+        result = solve_lp_form(node_form, backend, warm_start=warm)
         if postsolve is None or not result.status.has_solution:
             return result
         return LpResult(
@@ -490,46 +452,12 @@ class BranchAndBoundSolver:
         fractional_part = np.abs(values - np.rint(values))
         return np.nonzero(integer_mask & (fractional_part > _INTEGRALITY_TOLERANCE))[0]
 
-    def _choose_branch_variable(
-        self,
-        fractional: np.ndarray,
-        values: np.ndarray,
-        pseudo_up: np.ndarray,
-        pseudo_down: np.ndarray,
-        pseudo_counts: np.ndarray,
-    ) -> int:
-        if self.branching is BranchingRule.FIRST_FRACTIONAL:
-            return int(fractional[0])
-        fractions = values[fractional] - np.floor(values[fractional])
-        if self.branching is BranchingRule.MOST_FRACTIONAL:
-            scores = -np.abs(fractions - 0.5)
-            return int(fractional[int(np.argmax(scores))])
-        # Pseudo-cost branching: estimated degradation product (larger is better).
-        up_cost = pseudo_up[fractional] * (1.0 - fractions)
-        down_cost = pseudo_down[fractional] * fractions
-        scores = np.maximum(up_cost, 1e-6) * np.maximum(down_cost, 1e-6)
-        return int(fractional[int(np.argmax(scores))])
-
     @staticmethod
-    def _update_pseudo_costs(
-        pseudo_up: np.ndarray,
-        pseudo_down: np.ndarray,
-        pseudo_counts: np.ndarray,
-        index: int,
-        value: float,
-    ) -> None:
-        fraction = value - np.floor(value)
-        pseudo_counts[index] += 1
-        # Simple exponential smoothing of observed fractionalities.
-        pseudo_up[index] = 0.7 * pseudo_up[index] + 0.3 * (1.0 - fraction)
-        pseudo_down[index] = 0.7 * pseudo_down[index] + 0.3 * fraction
-
-    def _node_priority(self, sense: ObjectiveSense, bound: float, depth: int) -> float:
-        if self.node_selection is NodeSelection.DEPTH_FIRST:
-            return -float(depth)
-        # Best bound first: min-heap, so minimisation uses the bound directly
-        # and maximisation uses its negation.
-        return bound if sense is ObjectiveSense.MINIMIZE else -bound
+    def _most_fractional(fractional: np.ndarray, values: np.ndarray) -> int:
+        """The fractional variable whose value is closest to ``x.5``."""
+        fractions = values[fractional] - np.floor(values[fractional])
+        scores = -np.abs(fractions - 0.5)
+        return int(fractional[int(np.argmax(scores))])
 
     @staticmethod
     def _bound_improves(sense: ObjectiveSense, bound: float, incumbent_value: float) -> bool:
@@ -544,8 +472,8 @@ class BranchAndBoundSolver:
         denominator = max(1.0, abs(incumbent_value))
         return abs(incumbent_value - bound) / denominator
 
+    @staticmethod
     def _rounding_heuristic(
-        self,
         model: IlpModel,
         relaxation: np.ndarray,
         integer_mask: np.ndarray,

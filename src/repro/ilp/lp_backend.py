@@ -22,7 +22,9 @@ branch-and-bound node) reuses the same copy.
 Backend choice: HiGHS wins on large cold solves (compiled code, presolve);
 SIMPLEX wins on *sequences* of related small solves because it supports the
 basis-reuse protocol below, which SciPy's ``linprog`` interface does not
-expose.
+expose.  This module runs no presolve of its own: HiGHS presolves
+internally, and branch and bound reduces its form once per solve with
+:func:`~repro.ilp.presolve.presolve_form` before any node LP.
 
 The warm-start protocol: an optimal SIMPLEX solve returns its final basis in
 :attr:`LpResult.basis`.  A caller about to solve a *related* problem (same
@@ -46,19 +48,13 @@ from scipy.optimize import linprog
 from repro.errors import SolverError
 from repro.ilp.matrix_form import MatrixForm
 from repro.ilp.model import IlpModel
-from repro.ilp.presolve import PresolveResult, presolve_form
 from repro.ilp.simplex import (
-    PricingRule,
     SimplexBasis,
     SimplexResult,
     SimplexStatus,
     solve_form_simplex,
 )
 from repro.ilp.status import Solution, SolveStats, SolverStatus
-
-#: ``form.cache`` slot for the memoized presolve reduction (keyed by a bounds
-#: fingerprint, since ``with_bounds`` views share one cache dict).
-_PRESOLVE_CACHE_KEY = "lp_presolve"
 
 
 class LpBackend(enum.Enum):
@@ -93,7 +89,7 @@ class LpResult:
             rather than rejected (stale basis) or ignored (HiGHS).
         refactorizations: Basis refactorisations during the solve (SIMPLEX).
         eta_peak: Longest eta file between refactorisations (SIMPLEX).
-        pricing: Resolved pricing rule that drove the solve ("" for HiGHS).
+        pricing: Pricing rule that drove the solve ("" for HiGHS).
     """
 
     status: SolverStatus
@@ -111,104 +107,11 @@ def solve_lp_form(
     form: MatrixForm,
     backend: LpBackend = LpBackend.HIGHS,
     warm_start: WarmStart | None = None,
-    presolve: bool = True,
-    pricing: PricingRule = PricingRule.AUTO,
 ) -> LpResult:
-    """Solve the LP relaxation of a matrix-form model.
-
-    With ``presolve`` (the default) the form is first reduced by
-    :func:`~repro.ilp.presolve.presolve_form` — bound propagation, fixed
-    variables eliminated, redundant rows dropped — and the result is mapped
-    back through the reduction's postsolve record: values, objective *and*
-    basis all come back in the original space, and a supplied warm-start
-    basis is projected into the reduced space, so the warm-start protocol is
-    unaffected.  The reduction is memoized on ``form.cache`` (keyed by the
-    bounds), so repeated solves of the same form presolve once.  Callers that
-    manage their own reduction (branch-and-bound) pass ``presolve=False``.
-    """
-    if not presolve:
-        return _dispatch(form, backend, warm_start, pricing)
-    reduction = _cached_presolve(form)
-    if not reduction.feasible:
-        return LpResult(SolverStatus.INFEASIBLE, np.empty(0), float("nan"))
-    postsolve = reduction.postsolve
-    if reduction.form is form:
-        return _dispatch(form, backend, warm_start, pricing)
-    reduced_warm = None
-    if warm_start is not None and warm_start.basis is not None:
-        mapped = postsolve.reduce_basis(warm_start.basis)
-        if mapped is not None:
-            reduced_warm = WarmStart(basis=mapped)
-        elif (
-            backend is LpBackend.SIMPLEX
-            and isinstance(warm_start.basis, SimplexBasis)
-            and warm_start.basis.matches(
-                postsolve.num_orig_vars, postsolve.num_orig_ub, postsolve.num_orig_eq
-            )
-        ):
-            # The reduction conflicts with the caller's basis (typically it
-            # fixed a column that is basic there).  A dual reoptimisation
-            # from that basis is usually cheaper than a cold reduced solve,
-            # so the warm start wins and presolve steps aside.
-            return _dispatch(form, backend, warm_start, pricing)
-    if postsolve.num_reduced_vars == 0:
-        # Everything fixed by presolve; the remaining rows were all removed
-        # (or the reduction would have been infeasible).
-        values = postsolve.restore(np.empty(0))
-        return LpResult(
-            SolverStatus.OPTIMAL, values, form.objective_from_min(float(form.c @ values))
-        )
-    result = _dispatch(reduction.form, backend, reduced_warm, pricing)
-    if not result.status.has_solution:
-        return LpResult(
-            result.status,
-            result.values,
-            result.objective_value,
-            iterations=result.iterations,
-            warm_start_used=result.warm_start_used,
-            refactorizations=result.refactorizations,
-            eta_peak=result.eta_peak,
-            pricing=result.pricing,
-        )
-    return LpResult(
-        result.status,
-        postsolve.restore(result.values),
-        result.objective_value + postsolve.objective_offset,
-        basis=postsolve.restore_basis(result.basis),
-        iterations=result.iterations,
-        warm_start_used=result.warm_start_used,
-        refactorizations=result.refactorizations,
-        eta_peak=result.eta_peak,
-        pricing=result.pricing,
-    )
-
-
-def _dispatch(
-    form: MatrixForm,
-    backend: LpBackend,
-    warm_start: WarmStart | None,
-    pricing: PricingRule = PricingRule.AUTO,
-) -> LpResult:
+    """Solve the LP relaxation of a matrix-form model as given (no presolve)."""
     if backend is LpBackend.HIGHS:
         return _solve_highs(form)
-    return _solve_simplex(form, warm_start, pricing)
-
-
-def _cached_presolve(form: MatrixForm) -> PresolveResult:
-    lower, upper = form.bound_arrays()
-    key = (lower.tobytes(), upper.tobytes())
-    cached = form.cache.get(_PRESOLVE_CACHE_KEY)
-    if cached is not None and cached[0] == key:
-        return cached[1]
-    reduction = presolve_form(form)
-    form.cache[_PRESOLVE_CACHE_KEY] = (key, reduction)
-    return reduction
-
-
-# PR 1 name, kept for compatibility with existing callers/tests.
-solve_lp_dense = solve_lp_form
-# The presolve-aware entry point under its architectural name.
-solve_form = solve_lp_form
+    return _solve_simplex(form, warm_start)
 
 
 def solve_lp(
@@ -263,15 +166,9 @@ def _solve_highs(form: MatrixForm) -> LpResult:
     raise SolverError(f"HiGHS LP solve failed: {result.message}")
 
 
-def _solve_simplex(
-    form: MatrixForm,
-    warm_start: WarmStart | None = None,
-    pricing: PricingRule = PricingRule.AUTO,
-) -> LpResult:
+def _solve_simplex(form: MatrixForm, warm_start: WarmStart | None = None) -> LpResult:
     basis = warm_start.basis if warm_start is not None else None
-    simplex_result: SimplexResult = solve_form_simplex(
-        form, warm_start=basis, pricing=pricing
-    )
+    simplex_result: SimplexResult = solve_form_simplex(form, warm_start=basis)
     if simplex_result.status is SimplexStatus.OPTIMAL:
         return LpResult(
             SolverStatus.OPTIMAL,

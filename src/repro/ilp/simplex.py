@@ -1,9 +1,9 @@
 """A bounded-variable revised simplex solver with warm-start support.
 
-This is a self-contained LP solver used as a fallback / cross-check for the
-HiGHS backend.  Unlike the dense tableau method it replaced, it is built for
-the workload SKETCHREFINE and branch-and-bound actually generate: *many small
-LPs that differ from each other by a single variable bound*.
+This is the self-contained LP solver behind every branch-and-bound node LP
+(HiGHS is its numerical fallback and the test-suite cross-check).  It is
+built for the workload SKETCHREFINE and branch-and-bound actually generate:
+*many small LPs that differ from each other by a single variable bound*.
 
 Five design points make repeated solves cheap:
 
@@ -41,16 +41,16 @@ Five design points make repeated solves cheap:
   mismatch, singular basis matrix, unrestorable dual feasibility) fall back
   to a cold two-phase solve.
 
-**Pricing ladder.**  :class:`PricingRule` selects the entering-variable rule:
-Dantzig (most negative reduced cost, what the ``AUTO`` default resolves to
-at every width), with devex reference weights and exact steepest-edge as
-opt-ins.
+**Pricing.**  The entering variable is chosen by Dantzig's rule (largest
+reduced-cost magnitude): on the 20 000-row Galaxy profile it needed fewer
+pivots and less time than devex (figures in ``docs/simplex.md``).
 Past :data:`_PARTIAL_PRICING_THRESHOLD` columns a partial-pricing candidate
 list amortises the full ``v @ A`` sweep: most iterations price only a few
 hundred promising columns, and a full sweep runs only when the list runs dry
 (optimality is still only ever declared off a full sweep).  After a long run
-of degenerate pivots the solver switches to Bland's rule — always a full
-lowest-index sweep — to guarantee termination.
+of degenerate pivots (:data:`_DEGENERATE_STREAK_LIMIT`) the solver switches
+to Bland's rule — always a full lowest-index sweep — to guarantee
+termination; the solve's pricing label then reads ``"dantzig+bland"``.
 
 The cold path is the classic two-phase method in revised form: phase 1
 minimises signed artificial infeasibilities, phase 2 the true objective.
@@ -83,10 +83,6 @@ _DEGENERATE_STREAK_LIMIT = 50
 
 #: Partial pricing (candidate list) activates at or past this many columns.
 _PARTIAL_PRICING_THRESHOLD = 4096
-#: Devex reference weights above this trigger a framework reset.
-_DEVEX_WEIGHT_RESET = 1e7
-#: How many top-|d| candidates exact steepest-edge FTRANs per iteration.
-_STEEPEST_EDGE_PROBES = 8
 #: Bases of larger dimension export without a factor fork (the LU alone is
 #: m² floats; past this the warm path refactorises instead of carrying it).
 _FACTOR_EXPORT_LIMIT = 512
@@ -113,21 +109,14 @@ class SimplexStatus(enum.Enum):
 
 
 class PricingRule(enum.Enum):
-    """Entering-variable pricing rule for the primal simplex.
+    """The entering-variable rule: Dantzig, the only one the solver has.
 
-    ``AUTO`` (the default everywhere) resolves to Dantzig at every width:
-    on the committed large-instance profile devex needed more pivots and
-    more time than Dantzig.  ``DEVEX`` prices with devex reference weights.
-    ``STEEPEST_EDGE`` prices exact steepest-edge ratios over the top
-    reduced-cost candidates — the strongest rule per pivot, paying one FTRAN
-    per probed candidate.  Bland's anti-cycling rule is not a member: it is a
-    termination fallback layered under every rule, never a configuration.
+    Not a setting; it names the rule for reports such as
+    ``BranchAndBoundSolver.pricing``.  Bland's anti-cycling fallback is
+    layered under it automatically (see the module docstring).
     """
 
-    AUTO = "auto"
     DANTZIG = "dantzig"
-    DEVEX = "devex"
-    STEEPEST_EDGE = "steepest_edge"
 
 
 @dataclass
@@ -190,9 +179,9 @@ class SimplexResult:
         refactorizations: Fresh LU factorisations computed during the solve
             (periodic, stability-triggered and install-time ones alike).
         eta_peak: Longest eta file reached between refactorisations.
-        pricing: Resolved pricing rule that drove the solve (``"devex"``,
-            ``"dantzig"``, ...), with ``"+bland"`` appended when the
-            anti-cycling fallback engaged at least once.
+        pricing: Pricing rule that drove the solve: ``"dantzig"``, or
+            ``"dantzig+bland"`` when the anti-cycling fallback engaged at
+            least once.
     """
 
     status: SimplexStatus
@@ -293,7 +282,6 @@ def solve_dense_simplex(
     b_eq: np.ndarray,
     bounds,
     warm_start: SimplexBasis | None = None,
-    pricing: PricingRule = PricingRule.AUTO,
 ) -> SimplexResult:
     """Minimise ``c @ x`` subject to the given constraints and bounds.
 
@@ -305,13 +293,12 @@ def solve_dense_simplex(
     :func:`solve_form_simplex`, which assembles the working matrix only once.
     """
     work = _WorkMatrix(c, a_ub, b_ub, a_eq, b_eq)
-    return _BoundedRevisedSimplex(work, bounds, pricing).solve(warm_start)
+    return _BoundedRevisedSimplex(work, bounds).solve(warm_start)
 
 
 def solve_form_simplex(
     form: MatrixForm,
     warm_start: SimplexBasis | None = None,
-    pricing: PricingRule = PricingRule.AUTO,
 ) -> SimplexResult:
     """Solve a :class:`MatrixForm` LP, reusing its cached working matrix.
 
@@ -324,7 +311,7 @@ def solve_form_simplex(
     if work is None:
         work = _WorkMatrix(form.c, form.a_ub, form.b_ub, form.a_eq, form.b_eq)
         form.cache[_WORK_CACHE_KEY] = work
-    return _BoundedRevisedSimplex(work, form.bounds, pricing).solve(warm_start)
+    return _BoundedRevisedSimplex(work, form.bounds).solve(warm_start)
 
 
 def _normalise_bounds(bounds, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -354,7 +341,7 @@ class _BoundedRevisedSimplex:
     statuses, basis factor, pricing state) is per-solve state.
     """
 
-    def __init__(self, work: _WorkMatrix, bounds, pricing: PricingRule = PricingRule.AUTO):
+    def __init__(self, work: _WorkMatrix, bounds):
         self.work = work
         self.n, self.mu, self.me = work.n, work.mu, work.me
         self.m, self.ncols, self.art0 = work.m, work.ncols, work.art0
@@ -385,12 +372,6 @@ class _BoundedRevisedSimplex:
         self._degenerate_streak = 0
         self._numerical_failure = False
 
-        if pricing is PricingRule.AUTO:
-            pricing = PricingRule.DANTZIG
-        self.pricing = pricing
-        self._devex_weights = (
-            np.ones(self.ncols) if pricing is PricingRule.DEVEX else None
-        )
         self._partial = self.ncols >= _PARTIAL_PRICING_THRESHOLD
         self._cand: np.ndarray | None = None
         self._cand_gather: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
@@ -448,8 +429,6 @@ class _BoundedRevisedSimplex:
             self._numerical_failure = False
             self._cand = None
             self._cand_gather = None
-            if self._devex_weights is not None:
-                self._devex_weights.fill(1.0)
         return self._cold_solve()
 
     # -- cold path ----------------------------------------------------------------
@@ -641,9 +620,6 @@ class _BoundedRevisedSimplex:
             else:
                 start = 0.0
             leaving = self.basis[limit_row]
-            # Devex weights need the pre-pivot basis (BTRAN of the pivot row),
-            # so update them before the factor advances.
-            self._update_devex(entering, leaving, limit_row, w)
             self.xb -= w * (direction * step)
             refactored = self._apply_pivot(limit_row, entering, w)
             self.status[leaving] = leave_to
@@ -706,32 +682,12 @@ class _BoundedRevisedSimplex:
         free = (status == FREE) & (np.abs(d_cols) > _EPSILON)
         return at_lower | at_upper | free
 
-    def _select(self, cols: np.ndarray, d_cols: np.ndarray) -> tuple[int, int]:
-        """Apply the active pricing rule over eligible columns ``cols``."""
-        if self.pricing is PricingRule.DEVEX:
-            scores = d_cols * d_cols / self._devex_weights[cols]
-            k = int(np.argmax(scores))
-        elif self.pricing is PricingRule.STEEPEST_EDGE:
-            k = self._steepest_probe(cols, d_cols)
-        else:
-            k = int(np.argmax(np.abs(d_cols)))
+    @staticmethod
+    def _select(cols: np.ndarray, d_cols: np.ndarray) -> tuple[int, int]:
+        """Dantzig's rule over eligible columns ``cols``: largest ``|d_j|``."""
+        k = int(np.argmax(np.abs(d_cols)))
         j = int(cols[k])
         return j, (1 if d_cols[k] < 0 else -1)
-
-    def _steepest_probe(self, cols: np.ndarray, d_cols: np.ndarray) -> int:
-        """Exact steepest-edge over the top-|d| candidates (one FTRAN each)."""
-        probes = min(_STEEPEST_EDGE_PROBES, int(cols.size))
-        order = np.argsort(-np.abs(d_cols), kind="stable")[:probes]
-        best_k = int(order[0])
-        best_score = -np.inf
-        for k in order:
-            w_j = self._ftran(int(cols[k]))
-            gamma = 1.0 + float(w_j @ w_j)
-            score = float(d_cols[k] * d_cols[k]) / gamma
-            if score > best_score:
-                best_score = score
-                best_k = int(k)
-        return best_k
 
     def _rebuild_candidates(self, d: np.ndarray) -> tuple[int | None, int]:
         """Full-sweep price: select globally and refill the candidate list."""
@@ -741,10 +697,7 @@ class _BoundedRevisedSimplex:
             self._cand_gather = None
             return None, 0
         d_eligible = d[eligible]
-        if self.pricing is PricingRule.DEVEX:
-            scores = d_eligible * d_eligible / self._devex_weights[eligible]
-        else:
-            scores = np.abs(d_eligible)
+        scores = np.abs(d_eligible)
         if eligible.size > self._cand_target:
             top = np.argpartition(-scores, self._cand_target - 1)[: self._cand_target]
             self._set_candidates(np.sort(eligible[top]))
@@ -778,47 +731,6 @@ class _BoundedRevisedSimplex:
             return y @ self.work.a[:, cand]
         rows, vals, seg = self._cand_gather
         return np.bincount(seg, weights=y[rows] * vals, minlength=cand.size)
-
-    def _update_devex(
-        self,
-        entering: int,
-        leaving: int,
-        row: int,
-        w: np.ndarray,
-        alpha: np.ndarray | None = None,
-    ) -> None:
-        """Devex reference-weight update for the pivot (entering at ``row``).
-
-        ``alpha`` optionally supplies the already-computed pivot row over all
-        working columns (the dual simplex has it for free); otherwise the row
-        is BTRAN'd and — under partial pricing — only the candidate columns'
-        weights are refreshed, keeping the update O(candidate nnz).
-        """
-        weights = self._devex_weights
-        if weights is None:
-            return
-        pivot = float(w[row])
-        if abs(pivot) < _PIVOT_EPSILON:
-            return
-        ref_weight = max(float(weights[entering]), 1.0)
-        cols: np.ndarray | None = None
-        if alpha is None:
-            rho = self.factor.btran_row(row)
-            if self._partial and self._cand is not None and self._cand.size:
-                cols = self._cand
-                alpha = self._gather_dot(rho)
-            else:
-                alpha = self._vecmat(rho)
-        ratio = alpha / pivot
-        candidate_weights = ratio * ratio * ref_weight
-        if cols is None:
-            np.maximum(weights, candidate_weights, out=weights)
-        else:
-            weights[cols] = np.maximum(weights[cols], candidate_weights)
-        weights[leaving] = max(ref_weight / (pivot * pivot), 1.0)
-        if float(weights.max()) > _DEVEX_WEIGHT_RESET:
-            # Reference framework reset: restart from unit weights.
-            weights.fill(1.0)
 
     def _primal_ratio_test(
         self, entering: int, direction: int, w: np.ndarray
@@ -933,9 +845,6 @@ class _BoundedRevisedSimplex:
             else:
                 entering_start = 0.0
             leaving = self.basis[r]
-            # The dual iteration already priced the full pivot row, so the
-            # devex update is a free ride on ``alpha``.
-            self._update_devex(q, leaving, r, w, alpha=alpha)
             self.xb -= w * entering_step
             refactored = self._apply_pivot(r, q, w)
             self.status[leaving] = AT_LOWER if leaving_below else AT_UPPER
@@ -1008,10 +917,8 @@ class _BoundedRevisedSimplex:
         return x
 
     def _pricing_label(self) -> str:
-        label = self.pricing.value
-        if self._bland_used:
-            label += "+bland"
-        return label
+        label = PricingRule.DANTZIG.value
+        return label + "+bland" if self._bland_used else label
 
     def _result(self, status: SimplexStatus, warm_started: bool = False) -> SimplexResult:
         if status is not SimplexStatus.OPTIMAL:

@@ -11,12 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ilp.branch_and_bound import (
-    BranchAndBoundSolver,
-    BranchingRule,
-    NodeSelection,
-    SolverLimits,
-)
+from repro.ilp.branch_and_bound import BranchAndBoundSolver, SolverLimits
 from repro.ilp.lp_backend import LpBackend
 from repro.ilp.model import ConstraintSense, IlpModel, ObjectiveSense
 from repro.ilp.status import SolverStatus
@@ -133,13 +128,15 @@ class TestCorrectness:
 
 
 class TestConfigurations:
-    @pytest.mark.parametrize("branching", list(BranchingRule))
-    @pytest.mark.parametrize("selection", list(NodeSelection))
-    def test_all_strategies_reach_the_optimum(self, branching, selection):
+    @pytest.mark.parametrize("backend", list(LpBackend))
+    @pytest.mark.parametrize("warm_start_lp", [True, False])
+    @pytest.mark.parametrize("presolve", [True, False])
+    def test_all_configurations_reach_the_optimum(self, backend, warm_start_lp, presolve):
         model = knapsack_model([6, 5, 4, 3, 2, 1], [4, 3, 3, 2, 2, 1], 8)
         solver = BranchAndBoundSolver(
-            branching=branching,
-            node_selection=selection,
+            lp_backend=backend,
+            warm_start_lp=warm_start_lp,
+            presolve=presolve,
             limits=SolverLimits(relative_gap=1e-9),
         )
         solution = solver.solve(model)
@@ -150,11 +147,6 @@ class TestConfigurations:
     def test_simplex_backend_gives_same_answer(self):
         model = knapsack_model([10, 13, 7, 8, 2], [5, 6, 4, 3, 1], 10)
         solver = BranchAndBoundSolver(lp_backend=LpBackend.SIMPLEX, limits=SolverLimits(relative_gap=1e-9))
-        assert solver.solve(model).objective_value == pytest.approx(23.0)
-
-    def test_rounding_heuristic_can_be_disabled(self):
-        model = knapsack_model([10, 13, 7, 8, 2], [5, 6, 4, 3, 1], 10)
-        solver = BranchAndBoundSolver(enable_rounding_heuristic=False, limits=SolverLimits(relative_gap=1e-9))
         assert solver.solve(model).objective_value == pytest.approx(23.0)
 
 

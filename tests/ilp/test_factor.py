@@ -8,21 +8,21 @@ The invariants here are what lets the simplex trust FTRAN/BTRAN blindly:
   the explicit inverse of the *updated* basis matrix,
 * forks answer for the basis at fork time, unaffected by later updates on
   either side, and
-* the degenerate-cycling regression: Beale's classic cycling example
-  terminates under devex pricing because the Bland fallback still engages.
+* the Bland anti-cycling fallback: with the degenerate-streak limit forced to
+  zero it engages on Beale's cycling example and on degenerate random LPs,
+  and still lands on HiGHS's optimum.  (At the default limit Dantzig's rule
+  solves Beale's LP without it.)
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+import repro.ilp.simplex as simplex
 from repro.ilp.factor import BasisFactor
-from repro.ilp.simplex import (
-    PricingRule,
-    SimplexStatus,
-    solve_dense_simplex,
-)
+from repro.ilp.simplex import SimplexStatus, solve_dense_simplex
 
 
 def _random_basis(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -135,33 +135,71 @@ class TestEtaFileConsistency:
         assert factor.eta_count == 2
 
 
-class TestBlandUnderDevex:
-    def test_beale_cycling_example_terminates_under_devex(self) -> None:
-        """Beale's cycling LP must reach optimality with devex pricing.
+def _highs_objective(c, a_ub, b_ub, bounds) -> float:
+    reference = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    assert reference.status == 0
+    return float(reference.fun)
 
-        Dantzig's rule cycles forever on this instance; the degenerate-streak
-        detector must hand over to Bland's rule regardless of the configured
-        pricing rule, and the solve must still finish at the true optimum.
-        """
-        c = np.array([-0.75, 150.0, -0.02, 6.0])
-        a_ub = np.array(
-            [
-                [0.25, -60.0, -0.04, 9.0],
-                [0.5, -90.0, -0.02, 3.0],
-                [0.0, 0.0, 1.0, 0.0],
-            ]
-        )
-        b_ub = np.array([0.0, 0.0, 1.0])
+
+def _degenerate_lp(seed: int):
+    """A random bounded LP whose zero right-hand sides force degenerate pivots."""
+    rng = np.random.default_rng(seed)
+    n, mu = 10, 6
+    c = rng.uniform(-5.0, 5.0, size=n)
+    a_ub = rng.uniform(-1.5, 1.5, size=(mu, n))
+    b_ub = rng.uniform(1.0, 10.0, size=mu)
+    b_ub[rng.permutation(mu)[: mu // 3]] = 0.0
+    bounds = [(0.0, float(u)) for u in rng.uniform(1.0, 10.0, size=n)]
+    return c, a_ub, b_ub, bounds
+
+
+_BEALE_C = np.array([-0.75, 150.0, -0.02, 6.0])
+_BEALE_A_UB = np.array(
+    [
+        [0.25, -60.0, -0.04, 9.0],
+        [0.5, -90.0, -0.02, 3.0],
+        [0.0, 0.0, 1.0, 0.0],
+    ]
+)
+_BEALE_B_UB = np.array([0.0, 0.0, 1.0])
+
+
+class TestBlandFallback:
+    """Bland's rule takes over after a degenerate streak and still solves.
+
+    Nothing in the default test workload runs a streak long enough to reach
+    the fallback, so these tests lower the streak limit to zero: the first
+    degenerate pivot hands pricing to Bland.
+    """
+
+    def test_beale_cycling_example_solves_under_bland(self, monkeypatch) -> None:
+        monkeypatch.setattr(simplex, "_DEGENERATE_STREAK_LIMIT", 0)
         bounds = [(0.0, None)] * 4
-        for rule in (PricingRule.DANTZIG, PricingRule.DEVEX, PricingRule.STEEPEST_EDGE):
-            result = solve_dense_simplex(
-                c, a_ub, b_ub, np.empty((0, 4)), np.empty(0), bounds, pricing=rule
-            )
-            assert result.status is SimplexStatus.OPTIMAL, rule
-            assert result.objective == pytest.approx(-0.05)
+        result = solve_dense_simplex(
+            _BEALE_C, _BEALE_A_UB, _BEALE_B_UB, np.empty((0, 4)), np.empty(0), bounds
+        )
+        assert result.status is SimplexStatus.OPTIMAL
+        assert result.pricing == "dantzig+bland"
+        assert result.objective == pytest.approx(
+            _highs_objective(_BEALE_C, _BEALE_A_UB, _BEALE_B_UB, bounds), abs=1e-9
+        )
+        assert result.objective == pytest.approx(-0.05)
 
-    def test_pricing_rules_agree_on_random_lps(self) -> None:
-        """All pricing rules land on the same optimal objective."""
+    @pytest.mark.parametrize("seed", range(10))
+    def test_degenerate_random_lps_solve_under_bland(self, monkeypatch, seed: int) -> None:
+        monkeypatch.setattr(simplex, "_DEGENERATE_STREAK_LIMIT", 0)
+        c, a_ub, b_ub, bounds = _degenerate_lp(seed)
+        n = len(c)
+        result = solve_dense_simplex(c, a_ub, b_ub, np.empty((0, n)), np.empty(0), bounds)
+        assert result.status is SimplexStatus.OPTIMAL
+        assert result.pricing == "dantzig+bland"
+        expected = _highs_objective(c, a_ub, b_ub, bounds)
+        assert result.objective == pytest.approx(expected, rel=1e-7, abs=1e-7)
+
+
+class TestDantzigPricing:
+    def test_random_lps_match_highs(self) -> None:
+        """Dantzig pricing lands on HiGHS's optimal objective."""
         rng = np.random.default_rng(21)
         for trial in range(8):
             n, mu = 12, 6
@@ -169,16 +207,10 @@ class TestBlandUnderDevex:
             a_ub = rng.uniform(-1.0, 2.0, size=(mu, n))
             b_ub = rng.uniform(5.0, 20.0, size=mu)
             bounds = [(0.0, float(u)) for u in rng.uniform(1.0, 10.0, size=n)]
-            objectives = {}
-            for rule in (
-                PricingRule.DANTZIG,
-                PricingRule.DEVEX,
-                PricingRule.STEEPEST_EDGE,
-            ):
-                result = solve_dense_simplex(
-                    c, a_ub, b_ub, np.empty((0, n)), np.empty(0), bounds, pricing=rule
-                )
-                assert result.status is SimplexStatus.OPTIMAL, (trial, rule)
-                objectives[rule] = result.objective
-            values = list(objectives.values())
-            assert max(values) - min(values) <= 1e-7 * max(1.0, abs(values[0]))
+            result = solve_dense_simplex(
+                c, a_ub, b_ub, np.empty((0, n)), np.empty(0), bounds
+            )
+            assert result.status is SimplexStatus.OPTIMAL, trial
+            assert result.pricing == "dantzig", trial
+            expected = _highs_objective(c, a_ub, b_ub, bounds)
+            assert abs(result.objective - expected) <= 1e-7 * max(1.0, abs(expected)), trial

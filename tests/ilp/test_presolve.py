@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ilp.branch_and_bound import BranchAndBoundSolver, SolverLimits
-from repro.ilp.lp_backend import LpBackend, WarmStart, solve_lp_form
+from repro.ilp.lp_backend import LpBackend, LpResult, WarmStart, solve_lp_form
 from repro.ilp.model import ConstraintSense, IlpModel, ObjectiveSense
 from repro.ilp.presolve import presolve_form
 from repro.ilp.status import SolverStatus
@@ -29,6 +29,32 @@ def budget_model() -> IlpModel:
     model.add_constraint({4: 1.0}, ConstraintSense.LE, 0.0, name="exclude")
     model.set_objective(ObjectiveSense.MAXIMIZE, {i: float(i + 1) for i in range(6)})
     return model
+
+
+def presolved_lp(form, backend: LpBackend) -> LpResult:
+    """LP solve through ``presolve_form``, a reduced-form solve and postsolve.
+
+    Values, objective and basis come back in the original space, so the
+    result compares directly against ``solve_lp_form`` on the unreduced form.
+    """
+    reduction = presolve_form(form)
+    if not reduction.feasible:
+        return LpResult(SolverStatus.INFEASIBLE, np.empty(0), float("nan"))
+    post = reduction.postsolve
+    if post.num_reduced_vars == 0:
+        values = post.restore(np.empty(0))
+        return LpResult(
+            SolverStatus.OPTIMAL, values, form.objective_from_min(float(form.c @ values))
+        )
+    result = solve_lp_form(reduction.form, backend)
+    if not result.status.has_solution:
+        return result
+    return LpResult(
+        result.status,
+        post.restore(result.values),
+        result.objective_value + post.objective_offset,
+        basis=post.restore_basis(result.basis),
+    )
 
 
 def integer_mask(model: IlpModel) -> np.ndarray:
@@ -129,8 +155,8 @@ class TestReductions:
         model.add_constraint({0: 1.0, 1: -1.0}, ConstraintSense.EQ, 0.0, name="tie")
         model.set_objective(ObjectiveSense.MINIMIZE, {0: 1.0})
         form = model.to_matrix()
-        on = solve_lp_form(form, LpBackend.HIGHS, presolve=True)
-        off = solve_lp_form(form, LpBackend.HIGHS, presolve=False)
+        on = presolved_lp(form, LpBackend.HIGHS)
+        off = solve_lp_form(form, LpBackend.HIGHS)
         assert on.status is off.status is SolverStatus.OPTIMAL
         assert on.objective_value == pytest.approx(0.0)
         assert off.objective_value == pytest.approx(0.0)
@@ -162,8 +188,8 @@ class TestPostsolve:
         model.add_constraint({1: 1.0}, ConstraintSense.LE, 3.0, name="cap")
         model.set_objective(ObjectiveSense.MAXIMIZE, {0: 10.0, 1: 1.0})
         form = model.to_matrix()
-        on = solve_lp_form(form, LpBackend.HIGHS, presolve=True)
-        off = solve_lp_form(form, LpBackend.HIGHS, presolve=False)
+        on = presolved_lp(form, LpBackend.HIGHS)
+        off = solve_lp_form(form, LpBackend.HIGHS)
         assert on.objective_value == pytest.approx(off.objective_value)
         assert on.objective_value == pytest.approx(23.0)
         assert on.values == pytest.approx(off.values)
@@ -174,14 +200,13 @@ class TestPostsolve:
         for variable in model.variables:
             variable.is_integer = False
         form = model.to_matrix()
-        presolved = solve_lp_form(form, LpBackend.SIMPLEX, presolve=True)
+        presolved = presolved_lp(form, LpBackend.SIMPLEX)
         assert presolved.status is SolverStatus.OPTIMAL
         assert presolved.basis is not None
         # The exported basis was lifted to the original column space: it must
         # install cleanly on an un-presolved solve of the same form.
         again = solve_lp_form(
-            form, LpBackend.SIMPLEX, warm_start=WarmStart(basis=presolved.basis),
-            presolve=False,
+            form, LpBackend.SIMPLEX, warm_start=WarmStart(basis=presolved.basis)
         )
         assert again.status is SolverStatus.OPTIMAL
         assert again.warm_start_used
@@ -214,8 +239,8 @@ class TestSolveParity:
     def test_lp_presolve_parity(self, backend):
         model = budget_model()
         form = model.to_matrix()
-        on = solve_lp_form(form, backend, presolve=True)
-        off = solve_lp_form(form, backend, presolve=False)
+        on = presolved_lp(form, backend)
+        off = solve_lp_form(form, backend)
         assert on.status is off.status is SolverStatus.OPTIMAL
         assert on.objective_value == pytest.approx(off.objective_value)
         assert on.values == pytest.approx(off.values, abs=1e-6)
@@ -225,7 +250,7 @@ class TestSolveParity:
         model.add_variable("x", 0, 1)
         model.add_constraint({0: 1.0}, ConstraintSense.GE, 2.0, name="impossible")
         model.set_objective(ObjectiveSense.MINIMIZE, {0: 1.0})
-        result = solve_lp_form(model.to_matrix(), LpBackend.HIGHS, presolve=True)
+        result = presolved_lp(model.to_matrix(), LpBackend.HIGHS)
         assert result.status is SolverStatus.INFEASIBLE
 
     @pytest.mark.parametrize("backend", [LpBackend.HIGHS, LpBackend.SIMPLEX])
@@ -322,8 +347,8 @@ class TestPresolveProperties:
     @given(model=paql_shaped_models())
     def test_presolved_lp_relaxation_matches_highs(self, model):
         form = model.to_matrix()
-        on = solve_lp_form(form, LpBackend.HIGHS, presolve=True)
-        off = solve_lp_form(form, LpBackend.HIGHS, presolve=False)
+        on = presolved_lp(form, LpBackend.HIGHS)
+        off = solve_lp_form(form, LpBackend.HIGHS)
         assert on.status is off.status
         if on.status is SolverStatus.OPTIMAL:
             assert on.objective_value == pytest.approx(off.objective_value, abs=1e-6)
@@ -332,7 +357,7 @@ class TestPresolveProperties:
     @given(model=paql_shaped_models())
     def test_presolved_simplex_restores_original_space_solutions(self, model):
         form = model.to_matrix()
-        result = solve_lp_form(form, LpBackend.SIMPLEX, presolve=True)
+        result = presolved_lp(form, LpBackend.SIMPLEX)
         if result.status is SolverStatus.OPTIMAL:
             assert len(result.values) == model.num_variables
             lower, upper, _ = model.bound_and_integrality_arrays()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ilp.lp_backend import LpBackend, solve_lp, solve_lp_dense
+from repro.ilp.lp_backend import LpBackend, solve_lp, solve_lp_form
 from repro.ilp.model import ConstraintSense, IlpModel, ObjectiveSense
 from repro.ilp.simplex import SimplexStatus, solve_dense_simplex
 from repro.ilp.status import SolverStatus
@@ -219,11 +219,9 @@ class TestNumericalErrorStatus:
         assert result.status is SimplexStatus.NUMERICAL_ERROR
 
     def test_lp_backend_maps_numerical_error(self, monkeypatch):
-        from repro.ilp.lp_backend import solve_lp_form
-
         self._force_refactor_failure(monkeypatch)
         form = simple_lp_model().to_matrix()
-        result = solve_lp_form(form, LpBackend.SIMPLEX, presolve=False)
+        result = solve_lp_form(form, LpBackend.SIMPLEX)
         assert result.status is SolverStatus.NUMERICAL_ERROR
         assert SolverStatus.NUMERICAL_ERROR.is_failure
         assert not result.status.has_solution
@@ -252,11 +250,11 @@ class TestNumericalErrorStatus:
         real = bnb.solve_lp_form
         failed = []
 
-        def flaky(form, backend, warm_start=None, presolve=True, **kwargs):
+        def flaky(form, backend, warm_start=None):
             if warm_start is not None and not failed:
                 failed.append(True)
                 return LpResult(SolverStatus.NUMERICAL_ERROR, np.empty(0), float("nan"))
-            return real(form, backend, warm_start=warm_start, presolve=presolve, **kwargs)
+            return real(form, backend, warm_start=warm_start)
 
         monkeypatch.setattr(bnb, "solve_lp_form", flaky)
         solver = BranchAndBoundSolver(lp_backend=LpBackend.SIMPLEX)
@@ -281,11 +279,11 @@ class TestNumericalErrorStatus:
         real = bnb.solve_lp_form
         calls = []
 
-        def flaky(form, backend, warm_start=None, presolve=True, **kwargs):
+        def flaky(form, backend, warm_start=None):
             calls.append((backend, warm_start is not None, form))
             if len(calls) == 1:
                 return LpResult(SolverStatus.NUMERICAL_ERROR, np.empty(0), float("nan"))
-            return real(form, backend, warm_start=warm_start, presolve=presolve, **kwargs)
+            return real(form, backend, warm_start=warm_start)
 
         monkeypatch.setattr(bnb, "solve_lp_form", flaky)
         solution = BranchAndBoundSolver().solve(model)
@@ -319,7 +317,7 @@ class TestNumericalErrorStatus:
 
         backends = []
 
-        def broken(form, backend, warm_start=None, presolve=True, **kwargs):
+        def broken(form, backend, warm_start=None):
             backends.append(backend)
             return LpResult(SolverStatus.NUMERICAL_ERROR, np.empty(0), float("nan"))
 
@@ -329,10 +327,9 @@ class TestNumericalErrorStatus:
         assert backends == [LpBackend.SIMPLEX, LpBackend.HIGHS]
 
 
-class TestAutoPricing:
-    def test_auto_resolves_to_dantzig_on_wide_forms(self):
-        """AUTO pricing stays Dantzig at >= 2000 working columns."""
-        from repro.ilp.lp_backend import solve_lp_form
+class TestWideFormPricing:
+    def test_wide_forms_price_with_dantzig(self):
+        """Pricing stays Dantzig at >= 2000 working columns."""
         from repro.ilp.simplex import _WORK_CACHE_KEY
 
         n = 2000
@@ -347,7 +344,7 @@ class TestAutoPricing:
             ObjectiveSense.MAXIMIZE, {i: float(4.0 - w) for i, w in enumerate(weights)}
         )
         form = model.to_matrix()
-        result = solve_lp_form(form, LpBackend.SIMPLEX, presolve=False)
+        result = solve_lp_form(form, LpBackend.SIMPLEX)
         assert form.cache[_WORK_CACHE_KEY].ncols >= 2000
         assert result.status is SolverStatus.OPTIMAL
         assert result.pricing == "dantzig"

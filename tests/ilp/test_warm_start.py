@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ilp.branch_and_bound import BranchAndBoundSolver, SolverLimits
-from repro.ilp.lp_backend import LpBackend, WarmStart, solve_lp_dense
+from repro.ilp.lp_backend import LpBackend, WarmStart, solve_lp_form
 from repro.ilp.model import ConstraintSense, IlpModel, ObjectiveSense
 from repro.ilp.simplex import (
     SimplexBasis,
@@ -116,7 +116,10 @@ class TestWarmStartedReoptimisation:
 
 class TestSimplexEdgeCases:
     def test_beale_degenerate_cycling_example(self):
-        """Beale's classic cycling LP: Dantzig pricing cycles, Bland must engage."""
+        """Beale's classic cycling LP reaches its optimum under the default rule.
+
+        The Bland fallback itself is exercised in ``test_factor.py``.
+        """
         c = np.array([-0.75, 150.0, -0.02, 6.0])
         a_ub = np.array(
             [
@@ -200,7 +203,7 @@ class TestBackendWarmStartProtocol:
         model.set_objective(ObjectiveSense.MAXIMIZE, {0: 3.0, 1: 1.0})
         dense = model.to_dense()
 
-        cold = solve_lp_dense(dense, LpBackend.SIMPLEX)
+        cold = solve_lp_form(dense, LpBackend.SIMPLEX)
         assert cold.status is SolverStatus.OPTIMAL
         assert cold.basis is not None
         assert not cold.warm_start_used
@@ -208,7 +211,7 @@ class TestBackendWarmStartProtocol:
         lower, upper = dense.bound_arrays()
         upper = upper.copy()
         upper[0] = 5.0
-        warm = solve_lp_dense(
+        warm = solve_lp_form(
             dense.with_bounds(lower, upper),
             LpBackend.SIMPLEX,
             warm_start=WarmStart(basis=cold.basis),
@@ -222,7 +225,7 @@ class TestBackendWarmStartProtocol:
         model.add_variable("x", 0, 4, is_integer=False)
         model.set_objective(ObjectiveSense.MAXIMIZE, {0: 1.0})
         dense = model.to_dense()
-        result = solve_lp_dense(dense, LpBackend.HIGHS, warm_start=WarmStart(basis=None))
+        result = solve_lp_form(dense, LpBackend.HIGHS, warm_start=WarmStart(basis=None))
         assert result.status is SolverStatus.OPTIMAL
         assert not result.warm_start_used
         assert result.basis is None
@@ -251,11 +254,9 @@ class TestBranchAndBoundBasisReuse:
         limits = SolverLimits(relative_gap=1e-9)
         warm_solver = BranchAndBoundSolver(
             limits=limits, lp_backend=LpBackend.SIMPLEX, warm_start_lp=True,
-            enable_rounding_heuristic=False,
         )
         cold_solver = BranchAndBoundSolver(
             limits=limits, lp_backend=LpBackend.SIMPLEX, warm_start_lp=False,
-            enable_rounding_heuristic=False,
         )
         highs_solver = BranchAndBoundSolver(limits=limits, lp_backend=LpBackend.HIGHS)
 

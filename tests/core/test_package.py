@@ -78,6 +78,35 @@ class TestAggregation:
         assert package.aggregate(AggregateFunction.COUNT, row_mask=mask) == 3.0
         assert package.aggregate(AggregateFunction.SUM, "a", row_mask=mask) == 1.0 + 2 * 3.0
 
+    def test_sum_is_multiset_semantics(self, small_numeric_table):
+        # Two copies of a=1 plus one copy of a=3.
+        package = Package(small_numeric_table, [0, 2], [2, 1])
+        assert package.sum("a") == 5.0
+        assert package.materialize().numeric_column("a").sum() == package.sum("a")
+
+    def test_avg_weights_by_multiplicity(self, small_numeric_table):
+        package = Package(small_numeric_table, [0, 4], [3, 1])
+        assert package.aggregate(AggregateFunction.AVG, "a") == pytest.approx((3 * 1.0 + 5.0) / 4)
+
+    def test_min_max_ignore_rows_masked_out(self, small_numeric_table):
+        package = Package(small_numeric_table, [0, 1, 4], [1, 2, 1])
+        mask = small_numeric_table.column("c") == 0  # only row 1 is both packed and selected
+        assert package.aggregate(AggregateFunction.MIN, "b", row_mask=mask) == 20.0
+        assert package.aggregate(AggregateFunction.MAX, "b", row_mask=mask) == 20.0
+
+    def test_avg_and_min_over_an_empty_selection_are_nan(self, small_numeric_table):
+        package = Package(small_numeric_table, [0, 2], [1, 1])
+        nothing = np.zeros(small_numeric_table.num_rows, dtype=bool)
+        assert package.aggregate(AggregateFunction.COUNT, row_mask=nothing) == 0.0
+        assert np.isnan(package.aggregate(AggregateFunction.AVG, "a", row_mask=nothing))
+        assert np.isnan(package.aggregate(AggregateFunction.MAX, "a", row_mask=nothing))
+
+    def test_int_column_aggregates_as_float(self, small_numeric_table):
+        package = Package(small_numeric_table, [0, 1, 2], [2, 5, 1])
+        total = package.aggregate(AggregateFunction.SUM, "c")
+        assert isinstance(total, float)
+        assert total == 3.0
+
     def test_sum_requires_column(self, small_numeric_table):
         package = Package(small_numeric_table, [0])
         with pytest.raises(EvaluationError):

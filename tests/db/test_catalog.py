@@ -4,6 +4,7 @@ import pytest
 
 from repro.dataset.table import Table
 from repro.db.catalog import Database
+from repro.db.wal import WriteAheadLog
 from repro.errors import CatalogError
 from repro.partition.quadtree import QuadTreePartitioner
 
@@ -48,6 +49,72 @@ class TestTables:
         assert len(database) == 2
         assert sorted(t.name for t in database) == ["mixed", "numbers"]
         assert database.table_names() == ["mixed", "numbers"]
+
+
+    def test_has_table_tracks_create_and_drop(self, database, mixed_table):
+        assert database.has_table("numbers")
+        assert not database.has_table("mixed")
+        database.create_table(mixed_table)
+        assert database.has_table("mixed")
+        database.drop_table("mixed")
+        assert not database.has_table("mixed")
+
+
+class TestWalAttachment:
+    def test_attach_by_path_logs_every_commit(self, small_numeric_table, tmp_path):
+        db = Database()
+        wal = db.attach_wal(tmp_path / "catalog.wal")
+        assert isinstance(wal, WriteAheadLog)
+        assert db.wal is wal
+        db.create_table(small_numeric_table, name="numbers")
+        db.drop_table("numbers")
+        assert [r.kind for r in WriteAheadLog(tmp_path / "catalog.wal").records()] == [
+            "create",
+            "drop",
+        ]
+
+    def test_detach_stops_logging_and_returns_the_log(self, small_numeric_table, tmp_path):
+        db = Database(wal=tmp_path / "catalog.wal")
+        db.create_table(small_numeric_table, name="numbers")
+        detached = db.detach_wal()
+        assert db.wal is None
+        db.drop_table("numbers")
+        assert [r.kind for r in detached.records()] == ["create"]
+        assert db.detach_wal() is None
+
+    def test_attaching_does_not_replay_existing_records(self, small_numeric_table, tmp_path):
+        writer = Database(wal=tmp_path / "catalog.wal")
+        writer.create_table(small_numeric_table, name="numbers")
+        reader = Database()
+        reader.attach_wal(tmp_path / "catalog.wal")
+        assert len(reader) == 0
+        assert Database.recover(tmp_path / "catalog.wal").has_table("numbers")
+
+
+class TestCacheRegistration:
+    class _RecordingCache:
+        def __init__(self):
+            self.invalidated: list[str] = []
+
+        def invalidate_table(self, name: str) -> None:
+            self.invalidated.append(name)
+
+    def test_registering_twice_notifies_once(self, database, small_numeric_table):
+        cache = self._RecordingCache()
+        database.register_cache(cache)
+        database.register_cache(cache)
+        database.create_table(small_numeric_table.head(2), name="numbers", replace=True)
+        assert cache.invalidated == ["numbers"]
+
+    def test_unregistered_cache_hears_nothing(self, database):
+        cache, still_registered = self._RecordingCache(), self._RecordingCache()
+        database.register_cache(cache)
+        database.register_cache(still_registered)
+        database.unregister_cache(cache)
+        database.unregister_cache(cache)  # no-op
+        database.drop_table("numbers")
+        assert cache.invalidated == []
+        assert still_registered.invalidated == ["numbers"]
 
 
 class TestPartitionings:

@@ -127,6 +127,50 @@ class TestCorrectness:
         assert model.check_feasible(solution.values)
 
 
+def random_general_integer_model(seed: int) -> tuple[IlpModel, list[tuple[int, ...]]]:
+    """A small bounded integer program with mixed LE/GE/EQ rows and signed
+    coefficients, built around a known feasible point, plus its full grid of
+    candidate points for brute-force enumeration."""
+    rng = np.random.default_rng(seed)
+    num_vars, upper = 4, 3
+    model = IlpModel(f"general-{seed}")
+    for i in range(num_vars):
+        model.add_variable(f"x{i}", 0, upper)
+    anchor = rng.integers(0, upper + 1, num_vars)
+    senses = [ConstraintSense.LE, ConstraintSense.GE, ConstraintSense.EQ]
+    for sense in senses:
+        coefficients = rng.integers(-3, 4, num_vars)
+        coefficients[rng.integers(num_vars)] = rng.choice([-2, -1, 1, 2])  # never an empty row
+        activity = float(coefficients @ anchor)
+        slack = float(rng.integers(0, 4))
+        rhs = {ConstraintSense.LE: activity + slack, ConstraintSense.GE: activity - slack}.get(
+            sense, activity
+        )
+        model.add_constraint({i: float(c) for i, c in enumerate(coefficients)}, sense, rhs)
+    sense = ObjectiveSense.MAXIMIZE if seed % 2 else ObjectiveSense.MINIMIZE
+    model.set_objective(sense, {i: float(c) for i, c in enumerate(rng.integers(-5, 6, num_vars))})
+    grid = list(itertools.product(range(upper + 1), repeat=num_vars))
+    return model, grid
+
+
+class TestGeneralIntegerPrograms:
+    @pytest.mark.parametrize("backend", list(LpBackend))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_mixed_sense_programs_match_brute_force(self, seed, backend):
+        model, grid = random_general_integer_model(seed)
+        points = [np.array(p, dtype=float) for p in grid]
+        objectives = [model.objective_value(p) for p in points if model.check_feasible(p)]
+        assert objectives  # the anchor point is always feasible
+        maximize = model.objective.sense is ObjectiveSense.MAXIMIZE
+        best = max(objectives) if maximize else min(objectives)
+        solver = BranchAndBoundSolver(lp_backend=backend, limits=SolverLimits(relative_gap=1e-9))
+        solution = solver.solve(model)
+        assert solution.status is SolverStatus.OPTIMAL
+        assert solution.objective_value == pytest.approx(best)
+        assert model.check_feasible(solution.values)
+        assert np.allclose(solution.values, np.round(solution.values), atol=1e-6)
+
+
 class TestConfigurations:
     @pytest.mark.parametrize("backend", list(LpBackend))
     @pytest.mark.parametrize("warm_start_lp", [True, False])

@@ -1,6 +1,7 @@
 """Tests for the solver black-box protocol, IIS extraction and statuses."""
 
 import numpy as np
+import pytest
 
 from repro.ilp.branch_and_bound import BranchAndBoundSolver, SolverLimits
 from repro.ilp.iis import constraint_columns, find_iis
@@ -113,6 +114,17 @@ class TestSolutionAndStatus:
         assert not SolverStatus.INFEASIBLE.has_solution
         assert SolverStatus.CAPACITY_EXCEEDED.is_failure
         assert not SolverStatus.OPTIMAL.is_failure
+
+    @pytest.mark.parametrize("status", list(SolverStatus))
+    def test_solution_flags_follow_the_status(self, status):
+        solution = Solution(status, np.array([1.0]), 1.0)
+        assert solution.is_optimal == (status is SolverStatus.OPTIMAL)
+        assert solution.has_solution == (status in (SolverStatus.OPTIMAL, SolverStatus.FEASIBLE))
+        # A status either carries a solution, reports infeasibility/unboundedness,
+        # or is a failure — never two of these at once.
+        assert not (status.has_solution and status.is_failure)
+        if not solution.has_solution:
+            assert solution.value_of(0) == 0.0
 
     def test_solution_value_of(self):
         solution = Solution(SolverStatus.OPTIMAL, np.array([1.0, 2.0]), 3.0)

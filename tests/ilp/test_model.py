@@ -61,6 +61,15 @@ class TestConstraints:
         assert eq.is_satisfied(values)
         assert not ge.is_satisfied(values)
 
+    def test_constraint_nnz_counts_structural_nonzeros(self):
+        model = IlpModel()
+        for name in "xyz":
+            model.add_variable(name)
+        assert model.constraint_nnz == 0
+        model.add_constraint({0: 1.0, 1: 0.0, 2: 3.0}, ConstraintSense.LE, 5)
+        model.add_constraint({1: -1.0}, ConstraintSense.GE, -2)
+        assert model.constraint_nnz == 3
+
 
 class TestObjectiveAndFeasibility:
     def test_objective_evaluation(self):
@@ -123,6 +132,27 @@ class TestDenseExportAndCopy:
         dense = model.to_dense()
         assert dense.c[0] == -3.0
         assert dense.objective_from_min(-6.0) == 6.0
+
+    def test_matrix_export_is_memoised_until_invalidated(self):
+        model = IlpModel()
+        model.add_variable("x", upper=4)
+        model.add_variable("y")
+        capacity = model.add_constraint({0: 1.0, 1: 1.0}, ConstraintSense.LE, 10)
+        dense = model.to_dense()
+        assert model.to_dense() is dense
+        capacity.rhs = 7.0  # in-place mutation bypasses the model's own invalidation
+        model.invalidate_matrix_cache()
+        refreshed = model.to_dense()
+        assert refreshed is not dense
+        assert refreshed.b_ub.tolist() == [7.0]
+
+    def test_adding_a_constraint_refreshes_the_export(self):
+        model = IlpModel()
+        model.add_variable("x")
+        model.add_constraint({0: 1.0}, ConstraintSense.LE, 3)
+        assert model.to_dense().a_ub.shape == (1, 1)
+        model.add_constraint({0: 2.0}, ConstraintSense.LE, 5)
+        assert model.to_dense().a_ub.shape == (2, 1)
 
     def test_copy_is_deep(self):
         model = IlpModel("original")

@@ -3,11 +3,17 @@
 import pytest
 
 from repro.db.aggregates import AggregateFunction
-from repro.db.expressions import col
-from repro.paql.ast import ConstraintSenseKeyword, ObjectiveDirection
+from repro.db.expressions import Not, col
+from repro.paql.ast import (
+    AggregateRef,
+    ConstraintSenseKeyword,
+    GlobalConstraint,
+    LinearAggregateExpression,
+    ObjectiveDirection,
+)
 from repro.paql.builder import query_over
 from repro.paql.parser import parse_paql
-from repro.paql.pretty import format_paql
+from repro.paql.pretty import format_expression, format_paql
 
 
 class TestBuilder:
@@ -108,6 +114,35 @@ class TestBuilder:
         )
         assert query.numeric_query_columns == {"a", "b"}
         assert query.referenced_columns == {"label", "a", "b"}
+
+
+    def test_constrain_adds_a_prebuilt_constraint(self):
+        difference = LinearAggregateExpression.of(AggregateRef(AggregateFunction.SUM, "protein"))
+        difference.add(-1.0, AggregateRef(AggregateFunction.SUM, "fat"))
+        constraint = GlobalConstraint(difference, ConstraintSenseKeyword.GE, 0)
+        query = query_over("recipes").count_equals(3).constrain(constraint).build()
+        assert query.global_constraints[-1] is constraint
+        assert query.numeric_query_columns == {"protein", "fat"}
+        assert "SUM(P.protein) - SUM(P.fat) >= 0" in format_paql(query)
+
+
+class TestFormatExpression:
+    def test_columns_are_qualified_and_strings_quoted(self):
+        assert format_expression(col("gluten") == "free", "R") == "R.gluten = 'free'"
+
+    def test_arithmetic_is_parenthesised_and_numbers_canonical(self):
+        expression = (col("kcal") * 2.0 + 1.5) <= 10.0
+        assert format_expression(expression, "T") == "((T.kcal * 2) + 1.5) <= 10"
+
+    def test_logical_not_and_in_list(self):
+        expression = (col("a") > 1) & Not(col("label").isin(["x", 3.0]))
+        assert format_expression(expression, "R") == "(R.a > 1 AND NOT R.label IN ('x', 3))"
+
+    def test_formatted_where_clause_parses_back(self):
+        predicate = (col("kcal") < 1.5) | col("gluten").isin(["free"])
+        text = f"SELECT PACKAGE(R) AS P FROM recipes R WHERE {format_expression(predicate, 'R')}"
+        reparsed = parse_paql(text)
+        assert format_expression(reparsed.base_predicate, "R") == format_expression(predicate, "R")
 
 
 class TestFormatterRoundTrip:

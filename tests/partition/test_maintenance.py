@@ -20,6 +20,7 @@ from repro.partition.kmeans import KMeansPartitioner
 from repro.partition.maintenance import (
     MaintenanceStats,
     PartitionMaintainer,
+    is_known_method,
     make_partitioner,
 )
 from repro.partition.quadtree import QuadTreePartitioner
@@ -59,6 +60,26 @@ class TestMakePartitioner:
     def test_unknown_method_rejected(self):
         with pytest.raises(PartitioningError):
             make_partitioner("voronoi", 10, None)
+
+    @pytest.mark.parametrize(
+        "method, known",
+        [
+            ("quadtree", True),
+            ("KDTree", True),
+            ("kmeans", True),
+            ("quadtree(restricted)", True),
+            (" kdtree (maintained)", True),
+            ("voronoi", False),
+            ("manual", False),
+        ],
+    )
+    def test_is_known_method_agrees_with_make_partitioner(self, method, known):
+        assert is_known_method(method) is known
+        if known:
+            make_partitioner(method, 10, None)
+        else:
+            with pytest.raises(PartitioningError):
+                make_partitioner(method, 10, None)
 
 
 class TestSingleDelta:

@@ -6,7 +6,7 @@ import pytest
 from repro.dataset.table import Table
 from repro.errors import PartitioningError
 from repro.paql.ast import ObjectiveDirection
-from repro.partition.partitioning import Partitioning, PartitioningStats
+from repro.partition.partitioning import Partitioning, PartitioningStats, densify_group_ids
 from repro.partition.quadtree import QuadTreePartitioner
 from repro.partition.radius import (
     approximation_factor,
@@ -14,7 +14,15 @@ from repro.partition.radius import (
     gamma_for_epsilon,
     omega_for_epsilon,
 )
-from repro.partition.representatives import build_representative_table, compute_centroids, group_radii
+from repro.partition.representatives import (
+    build_representative_table,
+    centroid_moments,
+    centroids_from_moments,
+    compute_centroids,
+    group_radii,
+    null_aware_centroid,
+    representative_table_from_centroids,
+)
 from repro.workloads.galaxy import galaxy_table
 
 
@@ -50,6 +58,102 @@ class TestRepresentatives:
         radii = group_radii(table, group_ids, ["x"])
         assert radii[0] == pytest.approx(2.0)
         assert radii[1] == pytest.approx(0.0)
+
+
+class TestCentroidMoments:
+    def test_sums_and_counts_per_group(self):
+        table = Table.from_dict({"x": [0.0, 2.0, 10.0, 14.0], "y": [1.0, 3.0, 5.0, 7.0]})
+        sums, counts = centroid_moments(table, np.array([0, 0, 1, 1]), ["x", "y"])
+        assert sums.tolist() == [[2.0, 4.0], [24.0, 12.0]]
+        assert counts.tolist() == [[2.0, 2.0], [2.0, 2.0]]
+
+    def test_nulls_are_left_out_of_sums_and_counts(self):
+        table = Table.from_dict({"x": [1.0, None, 5.0], "y": [2.0, 4.0, 6.0]})
+        sums, counts = centroid_moments(table, np.array([0, 0, 1]), ["x", "y"])
+        assert sums.tolist() == [[1.0, 6.0], [5.0, 6.0]]
+        assert counts.tolist() == [[1.0, 2.0], [1.0, 1.0]]
+
+    def test_explicit_group_count_pads_empty_groups(self):
+        table = Table.from_dict({"x": [1.0, 3.0]})
+        sums, counts = centroid_moments(table, np.array([0, 0]), ["x"], num_groups=3)
+        assert sums.shape == counts.shape == (3, 1)
+        assert sums[1:].tolist() == [[0.0], [0.0]]
+        assert counts[1:].tolist() == [[0.0], [0.0]]
+
+    def test_group_ids_must_cover_the_table(self):
+        table = Table.from_dict({"x": [1.0, 3.0, 5.0]})
+        with pytest.raises(PartitioningError):
+            centroid_moments(table, np.array([0, 0]), ["x"])
+
+    def test_moments_add_across_a_row_split(self):
+        """Moments of a table are the sum of the moments of any row split — the
+        property incremental maintenance relies on to patch centroids."""
+        table = galaxy_table(120, seed=3)
+        attributes = ["petroMag_r", "redshift"]
+        group_ids = np.arange(table.num_rows) % 4
+        whole = centroid_moments(table, group_ids, attributes, num_groups=4)
+        head, tail = np.arange(50), np.arange(50, table.num_rows)
+        first = centroid_moments(table.take(head), group_ids[head], attributes, num_groups=4)
+        second = centroid_moments(table.take(tail), group_ids[tail], attributes, num_groups=4)
+        np.testing.assert_allclose(whole[0], first[0] + second[0])
+        np.testing.assert_array_equal(whole[1], first[1] + second[1])
+
+    def test_groups_without_valid_values_centre_at_zero(self):
+        sums = np.array([[6.0, 0.0], [0.0, 0.0]])
+        counts = np.array([[3.0, 0.0], [0.0, 0.0]])
+        assert centroids_from_moments(sums, counts).tolist() == [[2.0, 0.0], [0.0, 0.0]]
+
+    def test_centroids_from_moments_match_compute_centroids(self, partitioned_galaxy):
+        table, attributes, partitioning = partitioned_galaxy
+        sums, counts = centroid_moments(table, partitioning.group_ids, attributes)
+        np.testing.assert_allclose(
+            centroids_from_moments(sums, counts),
+            compute_centroids(table, partitioning.group_ids, attributes),
+        )
+
+    def test_null_aware_centroid_ignores_nans_and_pins_all_null_to_zero(self):
+        chunk = np.array([[1.0, np.nan, 4.0], [3.0, np.nan, np.nan]])
+        assert null_aware_centroid(chunk).tolist() == [2.0, 0.0, 4.0]
+
+    def test_representative_table_from_centroids(self):
+        centroids = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        representatives = representative_table_from_centroids(centroids, ["x", "y"], "points")
+        assert representatives.name == "points_representatives"
+        assert representatives.schema.names == ("gid", "x", "y")
+        assert representatives.column("gid").tolist() == [0, 1, 2]
+        assert representatives.column("y").tolist() == [2.0, 4.0, 6.0]
+
+    def test_partitioning_moments_back_its_centroids_and_representatives(self, partitioned_galaxy):
+        _, attributes, partitioning = partitioned_galaxy
+        sums, counts = partitioning.group_centroid_moments()
+        assert partitioning.group_centroid_moments()[0] is sums  # memoised
+        centroids = partitioning.group_centroids()
+        np.testing.assert_allclose(centroids, centroids_from_moments(sums, counts))
+        representatives = partitioning.representatives
+        for j, attribute in enumerate(attributes):
+            np.testing.assert_allclose(representatives.column(attribute), centroids[:, j])
+
+
+class TestDensifyGroupIds:
+    def test_dense_assignment_is_returned_unchanged(self):
+        group_ids = np.array([1, 0, 2, 1], dtype=np.int64)
+        dense, kept, remap = densify_group_ids(group_ids, 3)
+        assert dense is group_ids
+        assert kept.all()
+        assert remap.tolist() == [0, 1, 2]
+
+    def test_holes_are_compacted_in_gid_order(self):
+        group_ids = np.array([4, 1, 4, 1, 2], dtype=np.int64)
+        dense, kept, remap = densify_group_ids(group_ids, 5)
+        assert dense.tolist() == [2, 0, 2, 0, 1]
+        assert kept.tolist() == [False, True, True, False, True]
+        assert remap.tolist() == [-1, 0, 1, -1, 2]
+
+    def test_empty_assignment_retires_every_slot(self):
+        dense, kept, remap = densify_group_ids(np.empty(0, dtype=np.int64), 2)
+        assert dense.size == 0
+        assert not kept.any()
+        assert remap.tolist() == [-1, -1]
 
 
 class TestPartitioningObject:

@@ -6,6 +6,7 @@ import pytest
 from repro.core.direct import DirectEvaluator
 from repro.core.validation import check_package
 from repro.ilp.branch_and_bound import BranchAndBoundSolver, SolverLimits
+from repro.paql.ast import ConstraintSenseKeyword
 from repro.paql.validator import validate_query
 from repro.workloads.galaxy import GALAXY_ATTRIBUTES, galaxy_table, galaxy_workload
 from repro.workloads.recipes import balanced_meal_query, meal_planner_query, recipes_table
@@ -74,6 +75,14 @@ class TestGalaxy:
             package = evaluator.evaluate(table, query)
             assert check_package(package, query).feasible, name
 
+    def test_q1_redshift_window_is_centred_on_ten_average_galaxies(self):
+        table = galaxy_table(300, seed=2)
+        window = galaxy_workload(table).query("Q1").query.global_constraints[1]
+        assert window.sense is ConstraintSenseKeyword.BETWEEN
+        centre = 10 * np.nanmean(table.numeric_column("redshift"))
+        assert (window.lower + window.upper) / 2 == pytest.approx(centre)
+        assert window.upper / window.lower == pytest.approx(1.35 / 0.65)
+
     def test_query_lookup_errors(self):
         workload = galaxy_workload(galaxy_table(100, seed=2))
         with pytest.raises(KeyError):
@@ -121,6 +130,16 @@ class TestTpch:
             assert [c.lower for c in one.query.global_constraints] == [
                 c.lower for c in two.query.global_constraints
             ]
+
+    def test_q1_quantity_window_is_jittered_around_twelve_average_items(self):
+        table = tpch_table(300, seed=4)
+        window = tpch_workload(table, seed=4).query("Q1").query.global_constraints[1]
+        assert window.sense is ConstraintSenseKeyword.BETWEEN
+        quantity = table.numeric_column("quantity")
+        nominal = 12 * quantity[~np.isnan(quantity)].mean()
+        centre = (window.lower + window.upper) / 2
+        assert 0.9 * nominal <= centre <= 1.1 * nominal
+        assert window.upper / window.lower == pytest.approx(1.4 / 0.6)
 
     def test_sample_query_feasible(self):
         table = tpch_table(600, seed=4)
